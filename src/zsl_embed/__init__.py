@@ -45,7 +45,8 @@ from zsl_embed.network import (
     EmbeddingModel,
     FusionNet,
     NetConfig,
-    VisualMapNet,
+    ParamBuffer,
+    ReluStack,
     gradient_check,
     init_model,
 )
@@ -73,12 +74,13 @@ __all__ = [
     "MetricKind",
     "ModalitySpec",
     "NetConfig",
+    "ParamBuffer",
+    "ReluStack",
     "SemanticTable",
     "SgdMomentum",
     "SynthConfig",
     "TrainConfig",
     "TrainHistory",
-    "VisualMapNet",
     "ablate",
     "class_prototypes",
     "cosine_sim",

@@ -1,7 +1,8 @@
 """Dataset containers and file formats for precomputed-feature experiments.
 
-All containers are immutable after construction (arrays are marked
-read-only), so datasets can be shared freely across worker processes.
+All containers are immutable after construction (they hold read-only
+copies of the arrays they were given), so datasets can be shared freely
+across worker processes.
 File formats:
 
 * binary feature file: magic ``ZSLF``, u32 LE version (=1), u64 LE rows,
@@ -53,8 +54,9 @@ class FeatureMatrix:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        # private copies: freezing must not touch the caller's arrays
+        values = np.array(self.values, dtype=np.float64)
+        labels = np.array(self.labels, dtype=np.int64)
         if values.ndim != 2:
             raise ValueError(f"feature values must be 2-D, got shape {values.shape}")
         if values.shape[1] < 1:
@@ -106,7 +108,7 @@ class SemanticTable:
             cls = int(cls)
             if cls < 0:
                 raise ValueError("class ids must be non-negative")
-            vec = np.asarray(vec, dtype=np.float64)
+            vec = np.array(vec, dtype=np.float64)  # a private copy, frozen below
             if vec.ndim != 1 or vec.size == 0:
                 raise ValueError(
                     f"semantic vector for class {cls} must be a non-empty 1-D vector"
@@ -315,13 +317,12 @@ def _load_binary(data: bytes, name: str) -> FeatureMatrix:
     if labels.size and labels.max() > np.iinfo(np.int64).max:
         raise ValueError(f"{name}: class id out of range")
     off += rows * 8
-    values = np.frombuffer(data, dtype="<f4", count=rows * dim, offset=off)
-    values = values.astype(np.float64).reshape(rows, dim)
+    values = np.frombuffer(data, dtype="<f4", count=rows * dim, offset=off).reshape(rows, dim)
     finite_rows = np.isfinite(values).all(axis=1)
     if not finite_rows.all():
         bad = int(np.flatnonzero(~finite_rows)[0])
         raise ValueError(f"{name}: non-finite value at row {bad}")
-    return FeatureMatrix(values, labels.astype(np.int64))
+    return FeatureMatrix(values, labels)  # converted to float64 / int64 copies there
 
 
 def _load_csv(text: str, name: str) -> FeatureMatrix:

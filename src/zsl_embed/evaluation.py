@@ -161,8 +161,20 @@ def cell_seed(base_seed: int, modalities: Iterable[str], direction: str) -> int:
     return zlib.crc32(key.encode("utf-8"), base_seed & 0xFFFFFFFF)
 
 
-def _run_cell(task) -> list[AblationCell]:
-    dataset, net_config, train_config, subset, direction, metrics = task
+# the dataset a pool worker of ``ablate`` trains on, sent once per worker
+_worker_dataset: Dataset | None = None
+
+
+def _init_worker(dataset: Dataset) -> None:
+    global _worker_dataset
+    _worker_dataset = dataset
+
+
+def _run_cell(task, dataset: Dataset | None = None) -> list[AblationCell]:
+    """Train and score one cell; in a pool worker, on the worker's dataset."""
+    net_config, train_config, subset, direction, metrics = task
+    if dataset is None:
+        dataset = _worker_dataset
     seed = cell_seed(train_config.seed, subset, direction)
     cfg = dataclasses.replace(train_config, seed=seed)
     net_cfg = dataclasses.replace(net_config, direction=direction)
@@ -203,11 +215,13 @@ def ablate(
         if not canon:
             raise ValueError("empty modality subset")
         for direction in directions:
-            tasks.append((dataset, net_config, train_config, canon, direction, tuple(metrics)))
+            tasks.append((net_config, train_config, canon, direction, tuple(metrics)))
     if jobs == 1:
-        grouped = [_run_cell(t) for t in tasks]
+        grouped = [_run_cell(t, dataset) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(dataset,)
+        ) as pool:
             grouped = list(pool.map(_run_cell, tasks))
     return [cell for group in grouped for cell in group]
 

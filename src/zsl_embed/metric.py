@@ -120,7 +120,9 @@ def pairwise_distances(queries, prototypes, metric: MetricKind) -> np.ndarray:
             f"dimension mismatch: queries have dim {q.shape[1]}, prototypes {p.shape[1]}"
         )
     diff = q[:, None, :] - p[None, :, :]
-    eucsq = np.sum(diff * diff, axis=-1)
+    diff *= diff
+    eucsq = np.sum(diff, axis=-1)
+    del diff  # free the q x p x d temporary before the product for the dots
     if metric.kind == "euclidean":
         return eucsq
     dots = np.sum(q[:, None, :] * p[None, :, :], axis=-1)

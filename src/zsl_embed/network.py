@@ -14,13 +14,17 @@ Two directions are supported:
   the fused-semantic space, trained jointly with the heads against the
   fused vectors.
 
-Gradients are computed analytically (no autodiff); the ReLU subgradient
-at exactly 0 is taken as 0.
+Every branch is a ``ReluStack`` of dense-ReLU layers with one hand-derived
+backward pass (no autodiff); the ReLU subgradient at exactly 0 is taken
+as 0. All parameters of a model are views into one contiguous float64
+vector (a ``ParamBuffer``), and gradients come back in a buffer of the
+same layout, so optimizers update the whole model with a few vector ops.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -28,9 +32,6 @@ import numpy as np
 S_TO_V = "s2v"
 V_TO_S = "v2s"
 DIRECTIONS = (S_TO_V, V_TO_S)
-
-# gradients are plain name -> array mappings, shape-matched to the params
-GradientBundle = dict[str, np.ndarray]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,13 +71,54 @@ class NetConfig:
         return tuple(self.modality_dims)
 
 
-def _glorot(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
-    scale = np.sqrt(6.0 / (in_dim + out_dim))
-    return rng.uniform(-scale, scale, size=(out_dim, in_dim))
+def _stacks(config: NetConfig) -> dict[str, list[tuple[str, str, tuple[int, int]]]]:
+    """Each stack's layers as (weight name, bias name, weight shape), in buffer order.
+
+    Heads map modality dim -> head_hidden -> head_out, the shared layer
+    head_out -> embed_dim, and the v2s visual map embed_dim -> head_out ->
+    head_hidden -> head_out. Weights are (out, in) matrices.
+    """
+    h, o, e = config.head_hidden, config.head_out, config.embed_dim
+    widths = {f"head.{tag}": (1, (dim, h, o)) for tag, dim in config.modality_dims.items()}
+    widths["out"] = (3, (o, e))
+    if config.direction == V_TO_S:
+        widths["vmap"] = (1, (e, o, h, o))
+    return {
+        prefix: [
+            (f"{prefix}.W{k}", f"{prefix}.b{k}", (n_out, n_in))
+            for k, (n_in, n_out) in enumerate(zip(dims, dims[1:]), first)
+        ]
+        for prefix, (first, dims) in widths.items()
+    }
 
 
-def _is_weight(name: str) -> bool:
-    return name.rsplit(".", 1)[-1].startswith("W")
+def param_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in the order of the flat parameter buffer."""
+    shapes = {}
+    for w, b, shape in (layer for layers in _stacks(config).values() for layer in layers):
+        shapes[w], shapes[b] = shape, shape[:1]
+    return shapes
+
+
+class ParamBuffer(dict):
+    """Name -> array mapping whose arrays are views into one float64 vector.
+
+    ``flat`` holds the values of every shape given, in order and zero at
+    first; writing through a view writes ``flat`` and the other way round.
+    ``names`` limits which arrays the mapping exposes: a gradient names
+    only the trained parameters, and the rest of its ``flat`` stays zero.
+    """
+
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]], names: Iterable[str] | None = None):
+        super().__init__()
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.flat = np.zeros(sum(sizes))
+        exposed = set(shapes) if names is None else set(names)
+        start = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            if name in exposed:
+                self[name] = self.flat[start : start + size].reshape(shape)
+            start += size
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -88,26 +130,60 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     raise ValueError(f"expected a vector or a batch matrix, got shape {x.shape}")
 
 
+class ReluStack:
+    """Dense-ReLU layers applied in order: ``a <- max(a @ W.T + b, 0)``.
+
+    Built from ``_stacks`` layers; ``params`` maps the layers' weight and
+    bias names to their arrays, and the backward pass writes into a
+    mapping with the same names.
+    """
+
+    def __init__(self, params: Mapping[str, np.ndarray], layers: list[tuple[str, str, tuple]]):
+        self.names = [(w, b) for w, b, _ in layers]
+        self.params = {name: params[name] for layer in self.names for name in layer}
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Output for a batch ``x`` and the cache: ``x`` and every layer's output."""
+        acts = [x]
+        for w, b in self.names:
+            x = np.maximum(x @ self.params[w].T + self.params[b], 0.0)
+            acts.append(x)
+        return x, acts
+
+    def backward(
+        self,
+        acts: list[np.ndarray],
+        d_out: np.ndarray,
+        grads: Mapping[str, np.ndarray],
+        input_grad: bool = False,
+    ) -> np.ndarray | None:
+        """Write d(loss)/dW and d(loss)/db of every layer into ``grads``.
+
+        ``d_out`` is d(loss)/d(output) for the batch whose cache ``acts``
+        came from ``forward``. Returns d(loss)/d(input) if ``input_grad``
+        is set, else None.
+        """
+        for k in reversed(range(len(self.names))):
+            w, b = self.names[k]
+            dz = d_out * (acts[k + 1] > 0)
+            np.matmul(dz.T, acts[k], out=grads[w])
+            np.sum(dz, axis=0, out=grads[b])
+            if k or input_grad:
+                d_out = dz @ self.params[w]
+        return d_out if input_grad else None
+
+
 class FusionNet:
     """Per-modality two-layer heads, elementwise sum, shared output layer."""
 
-    def __init__(self, config: NetConfig, params: dict[str, np.ndarray]):
+    def __init__(self, config: NetConfig, params: Mapping[str, np.ndarray]):
         self.config = config
-        self.params = params
-
-    @classmethod
-    def init(cls, config: NetConfig, rng: np.random.Generator) -> "FusionNet":
-        """Uniform Glorot-style weights, zero biases; draw order is fixed."""
-        p: dict[str, np.ndarray] = {}
-        for tag in config.tags:
-            in_dim = config.modality_dims[tag]
-            p[f"head.{tag}.W1"] = _glorot(rng, config.head_hidden, in_dim)
-            p[f"head.{tag}.b1"] = np.zeros(config.head_hidden)
-            p[f"head.{tag}.W2"] = _glorot(rng, config.head_out, config.head_hidden)
-            p[f"head.{tag}.b2"] = np.zeros(config.head_out)
-        p["out.W3"] = _glorot(rng, config.embed_dim, config.head_out)
-        p["out.b3"] = np.zeros(config.embed_dim)
-        return cls(config, p)
+        stacks = _stacks(config)
+        self.heads = {tag: ReluStack(params, stacks[f"head.{tag}"]) for tag in config.tags}
+        self.out = ReluStack(params, stacks["out"])
+        self.params = {
+            name: p for stack in (*self.heads.values(), self.out) for name, p in stack.params.items()
+        }
 
     def check_active(self, active: Iterable[str]) -> tuple[str, ...]:
         """Canonical (sorted, deduplicated) active tags; must be configured."""
@@ -119,30 +195,23 @@ class FusionNet:
             raise ValueError(f"unknown modalities: {unknown}")
         return tags
 
-    def _forward_cached(self, inputs: Mapping[str, np.ndarray], tags: tuple[str, ...]) -> dict:
-        cfg = self.config
-        head_caches = {}
+    def fuse(
+        self, inputs: Mapping[str, np.ndarray], tags: tuple[str, ...]
+    ) -> tuple[np.ndarray, list[list[np.ndarray]]]:
+        """Sum of the heads' outputs over ``tags``, and each head's cache."""
+        dims = self.config.modality_dims
         fused = None
+        caches = []
         for tag in tags:
             if tag not in inputs:
                 raise ValueError(f"no input provided for modality {tag}")
             y, _ = _as_batch(inputs[tag])
-            if y.shape[1] != cfg.modality_dims[tag]:
-                raise ValueError(
-                    f"modality {tag}: expected dim {cfg.modality_dims[tag]}, got {y.shape[1]}"
-                )
-            w1, b1 = self.params[f"head.{tag}.W1"], self.params[f"head.{tag}.b1"]
-            w2, b2 = self.params[f"head.{tag}.W2"], self.params[f"head.{tag}.b2"]
-            z1 = y @ w1.T + b1
-            a1 = np.maximum(z1, 0.0)
-            z2 = a1 @ w2.T + b2
-            a2 = np.maximum(z2, 0.0)
-            head_caches[tag] = (y, z1, a1, z2, a2)
-            fused = a2 if fused is None else fused + a2
-        w3, b3 = self.params["out.W3"], self.params["out.b3"]
-        z3 = fused @ w3.T + b3
-        embedded = np.maximum(z3, 0.0)
-        return {"tags": tags, "heads": head_caches, "fused": fused, "z3": z3, "embedded": embedded}
+            if y.shape[1] != dims[tag]:
+                raise ValueError(f"modality {tag}: expected dim {dims[tag]}, got {y.shape[1]}")
+            a, acts = self.heads[tag].forward(y)
+            caches.append(acts)
+            fused = a if fused is None else fused + a
+        return fused, caches
 
     def forward(self, inputs: Mapping[str, np.ndarray], active: Iterable[str]):
         """Embedded and fused outputs for the active modalities.
@@ -152,114 +221,36 @@ class FusionNet:
         order, so permuting ``active`` cannot change the result.
         """
         tags = self.check_active(active)
-        single = all(np.asarray(inputs[t]).ndim == 1 for t in tags)
-        cache = self._forward_cached(inputs, tags)
-        if single:
-            return cache["embedded"][0], cache["fused"][0]
-        return cache["embedded"], cache["fused"]
-
-    def backprop(self, cache: dict, d_embedded=None, d_fused=None) -> GradientBundle:
-        """Data-term gradients from d(loss)/d(embedded) or d(loss)/d(fused)."""
-        grads: GradientBundle = {}
-        if d_embedded is not None:
-            w3 = self.params["out.W3"]
-            dz3 = d_embedded * (cache["z3"] > 0)
-            grads["out.W3"] = dz3.T @ cache["fused"]
-            grads["out.b3"] = dz3.sum(axis=0)
-            d_fused = dz3 @ w3
-        for tag in cache["tags"]:
-            y, z1, a1, z2, _ = cache["heads"][tag]
-            w2 = self.params[f"head.{tag}.W2"]
-            dz2 = d_fused * (z2 > 0)
-            grads[f"head.{tag}.W2"] = dz2.T @ a1
-            grads[f"head.{tag}.b2"] = dz2.sum(axis=0)
-            dz1 = (dz2 @ w2) * (z1 > 0)
-            grads[f"head.{tag}.W1"] = dz1.T @ y
-            grads[f"head.{tag}.b1"] = dz1.sum(axis=0)
-        return grads
-
-
-class VisualMapNet:
-    """Three ReLU layers mapping visual features into the fused space.
-
-    Mirrors the fusion branch widths in reverse: embed_dim -> head_out ->
-    head_hidden -> head_out.
-    """
-
-    def __init__(self, config: NetConfig, params: dict[str, np.ndarray]):
-        self.config = config
-        self.params = params
-
-    @classmethod
-    def init(cls, config: NetConfig, rng: np.random.Generator) -> "VisualMapNet":
-        p = {
-            "vmap.W1": _glorot(rng, config.head_out, config.embed_dim),
-            "vmap.b1": np.zeros(config.head_out),
-            "vmap.W2": _glorot(rng, config.head_hidden, config.head_out),
-            "vmap.b2": np.zeros(config.head_hidden),
-            "vmap.W3": _glorot(rng, config.head_out, config.head_hidden),
-            "vmap.b3": np.zeros(config.head_out),
-        }
-        return cls(config, p)
-
-    def _forward_cached(self, x: np.ndarray) -> dict:
-        if x.shape[1] != self.config.embed_dim:
-            raise ValueError(
-                f"expected visual dim {self.config.embed_dim}, got {x.shape[1]}"
-            )
-        p = self.params
-        z1 = x @ p["vmap.W1"].T + p["vmap.b1"]
-        h1 = np.maximum(z1, 0.0)
-        z2 = h1 @ p["vmap.W2"].T + p["vmap.b2"]
-        h2 = np.maximum(z2, 0.0)
-        z3 = h2 @ p["vmap.W3"].T + p["vmap.b3"]
-        out = np.maximum(z3, 0.0)
-        return {"x": x, "z1": z1, "h1": h1, "z2": z2, "h2": h2, "z3": z3, "out": out}
-
-    def forward(self, x) -> np.ndarray:
-        batch, single = _as_batch(x)
-        out = self._forward_cached(batch)["out"]
-        return out[0] if single else out
-
-    def backprop(self, cache: dict, d_out: np.ndarray) -> GradientBundle:
-        p = self.params
-        dz3 = d_out * (cache["z3"] > 0)
-        dz2 = (dz3 @ p["vmap.W3"]) * (cache["z2"] > 0)
-        dz1 = (dz2 @ p["vmap.W2"]) * (cache["z1"] > 0)
-        return {
-            "vmap.W3": dz3.T @ cache["h2"],
-            "vmap.b3": dz3.sum(axis=0),
-            "vmap.W2": dz2.T @ cache["h1"],
-            "vmap.b2": dz2.sum(axis=0),
-            "vmap.W1": dz1.T @ cache["x"],
-            "vmap.b1": dz1.sum(axis=0),
-        }
+        fused, _ = self.fuse(inputs, tags)
+        embedded, _ = self.out.forward(fused)
+        if all(np.asarray(inputs[t]).ndim == 1 for t in tags):
+            return embedded[0], fused[0]
+        return embedded, fused
 
 
 class EmbeddingModel:
-    """Fusion branch plus, for direction ``v2s``, the visual mapping branch."""
+    """Fusion branch plus, for direction ``v2s``, the visual mapping branch.
 
-    def __init__(self, config: NetConfig, fusion: FusionNet, visual_map: VisualMapNet | None = None):
-        if config.direction == V_TO_S and visual_map is None:
-            raise ValueError("direction v2s requires a visual mapping branch")
+    ``params`` holds every parameter, zero until set (``init_model`` draws
+    them); ``fusion.params`` and ``visual_map.params`` are views into it.
+    """
+
+    def __init__(self, config: NetConfig):
         self.config = config
-        self.fusion = fusion
-        self.visual_map = visual_map
+        self.params = ParamBuffer(param_shapes(config))
+        self.fusion = FusionNet(config, self.params)
+        stacks = _stacks(config)
+        self.visual_map = ReluStack(self.params, stacks["vmap"]) if "vmap" in stacks else None
 
     @property
     def direction(self) -> str:
         return self.config.direction
 
-    @property
-    def prototype_dim(self) -> int:
-        """Dimension of the space where prototypes and queries are compared."""
-        return self.config.embed_dim if self.direction == S_TO_V else self.config.head_out
-
-    def all_params(self) -> dict[str, np.ndarray]:
-        params = dict(self.fusion.params)
-        if self.visual_map is not None:
-            params.update(self.visual_map.params)
-        return params
+    def _trained(self, tags: tuple[str, ...]) -> list[ReluStack]:
+        """Stacks updated when training on ``tags``: the shared layer (s2v)
+        or the visual map (v2s) first, then the heads in tag order."""
+        top = self.fusion.out if self.direction == S_TO_V else self.visual_map
+        return [top, *(self.fusion.heads[t] for t in tags)]
 
     def trainable_params(self, active: Iterable[str]) -> dict[str, np.ndarray]:
         """Live references to the parameters updated when training on ``active``.
@@ -268,18 +259,8 @@ class EmbeddingModel:
         gradients. The shared output layer is trained only in ``s2v``; the
         visual map only in ``v2s``.
         """
-        tags = self.fusion.check_active(active)
-        params: dict[str, np.ndarray] = {}
-        for tag in tags:
-            for suffix in ("W1", "b1", "W2", "b2"):
-                name = f"head.{tag}.{suffix}"
-                params[name] = self.fusion.params[name]
-        if self.direction == S_TO_V:
-            params["out.W3"] = self.fusion.params["out.W3"]
-            params["out.b3"] = self.fusion.params["out.b3"]
-        else:
-            params.update(self.visual_map.params)
-        return params
+        stacks = self._trained(self.fusion.check_active(active))
+        return {name: p for stack in stacks for name, p in stack.params.items()}
 
     def embed(self, inputs: Mapping[str, np.ndarray], active: Iterable[str]) -> np.ndarray:
         """Class-prototype coordinates: embedded for s2v, fused for v2s."""
@@ -289,20 +270,26 @@ class EmbeddingModel:
     def map_visual(self, x) -> np.ndarray:
         if self.visual_map is None:
             raise ValueError("model has no visual mapping branch (direction s2v)")
-        return self.visual_map.forward(x)
+        batch, single = _as_batch(x)
+        if batch.shape[1] != self.config.embed_dim:
+            raise ValueError(f"expected visual dim {self.config.embed_dim}, got {batch.shape[1]}")
+        out, _ = self.visual_map.forward(batch)
+        return out[0] if single else out
 
     def loss(self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str]) -> float:
         return self.loss_and_grad(inputs, targets, active)[0]
 
     def loss_and_grad(
         self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str]
-    ) -> tuple[float, GradientBundle]:
+    ) -> tuple[float, ParamBuffer]:
         """Mean squared error plus L2 weight penalty, with analytic gradients.
 
         ``targets`` holds one visual feature row per sample. The L2 term
         covers the weight matrices (not biases) of the parameters being
         trained, so the returned gradients are exact partials of the
-        returned loss.
+        returned loss. The gradients are a new buffer laid out like
+        ``params`` that names only the trained parameters; the entries of
+        the others are zero.
         """
         tags = self.fusion.check_active(active)
         x = np.asarray(targets, dtype=np.float64)
@@ -315,47 +302,54 @@ class EmbeddingModel:
             raise ValueError(
                 f"target dim {x.shape[1]} does not match embed_dim {self.config.embed_dim}"
             )
-        batch_inputs = {t: _as_batch(inputs[t])[0] for t in tags}
+        batch = {t: _as_batch(inputs[t])[0] for t in tags}
         for t in tags:
-            if batch_inputs[t].shape[0] != m:
-                raise ValueError(
-                    f"modality {t}: {batch_inputs[t].shape[0]} rows for {m} targets"
-                )
+            if batch[t].shape[0] != m:
+                raise ValueError(f"modality {t}: {batch[t].shape[0]} rows for {m} targets")
 
-        cache = self.fusion._forward_cached(batch_inputs, tags)
+        trained = self._trained(tags)
+        grads = ParamBuffer(
+            {name: p.shape for name, p in self.params.items()},
+            names=[name for stack in trained for name in stack.params],
+        )
+        fused, head_caches = self.fusion.fuse(batch, tags)
+        top = trained[0]
         if self.direction == S_TO_V:
-            residual = cache["embedded"] - x
-            grads = self.fusion.backprop(cache, d_embedded=(2.0 / m) * residual)
+            embedded, acts = top.forward(fused)
+            residual = embedded - x
+            d_fused = top.backward(acts, (2.0 / m) * residual, grads, input_grad=True)
         else:
-            vcache = self.visual_map._forward_cached(x)
-            residual = vcache["out"] - cache["fused"]
-            grads = self.visual_map.backprop(vcache, (2.0 / m) * residual)
-            grads.update(self.fusion.backprop(cache, d_fused=(-2.0 / m) * residual))
-        data_term = float(np.sum(residual * residual)) / m
+            mapped, acts = top.forward(x)
+            residual = mapped - fused
+            top.backward(acts, (2.0 / m) * residual, grads)
+            d_fused = (-2.0 / m) * residual
+        for head, head_acts in zip(trained[1:], head_caches):
+            head.backward(head_acts, d_fused, grads)
 
         lam = self.config.l2_lambda
         reg = 0.0
-        all_params = self.all_params()
-        for name in grads:
-            if _is_weight(name):
-                w = all_params[name]
-                reg += float(np.sum(w * w))
+        for stack in trained:
+            for w, _ in reversed(stack.names):
+                p = stack.params[w]
+                reg += float(np.sum(p * p))
                 if lam != 0.0:
-                    grads[name] = grads[name] + 2.0 * lam * w
-        return data_term + lam * reg, grads
+                    grads[w] += (2.0 * lam) * p
+        return float(np.sum(residual * residual)) / m + lam * reg, grads
 
 
 def init_model(config: NetConfig, seed: int) -> EmbeddingModel:
-    """Deterministically initialized model; same (config, seed) -> same weights."""
+    """Deterministically initialized model; same (config, seed) -> same weights.
+
+    Weights are uniform Glorot-style, biases zero; the draws go layer by
+    layer in buffer order.
+    """
     rng = np.random.default_rng(seed)
-    fusion = FusionNet.init(config, rng)
-    visual_map = VisualMapNet.init(config, rng) if config.direction == V_TO_S else None
-    return EmbeddingModel(config, fusion, visual_map)
-
-
-def init_net(config: NetConfig, seed: int) -> FusionNet:
-    """Deterministically initialized fusion branch only."""
-    return FusionNet.init(config, np.random.default_rng(seed))
+    model = EmbeddingModel(config)
+    for layers in _stacks(config).values():
+        for w, _, (out_dim, in_dim) in layers:
+            scale = np.sqrt(6.0 / (in_dim + out_dim))
+            model.params[w][...] = rng.uniform(-scale, scale, size=(out_dim, in_dim))
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -368,26 +362,23 @@ def numerical_gradients(
     targets,
     active: Iterable[str],
     step: float = 1e-5,
-) -> GradientBundle:
+) -> dict[str, np.ndarray]:
     """Central finite differences of the training loss, for verification."""
-    grads: GradientBundle = {}
+    grads: dict[str, np.ndarray] = {}
     for name, param in model.trainable_params(active).items():
-        g = np.zeros_like(param)
-        flat_p = param.ravel()
-        flat_g = g.ravel()
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + step
+        g = grads[name] = np.zeros_like(param)
+        for i in np.ndindex(param.shape):
+            orig = param[i]
+            param[i] = orig + step
             hi = model.loss(inputs, targets, active)
-            flat_p[i] = orig - step
+            param[i] = orig - step
             lo = model.loss(inputs, targets, active)
-            flat_p[i] = orig
-            flat_g[i] = (hi - lo) / (2.0 * step)
-        grads[name] = g
+            param[i] = orig
+            g[i] = (hi - lo) / (2.0 * step)
     return grads
 
 
-def max_relative_error(analytic: GradientBundle, numeric: GradientBundle) -> float:
+def max_relative_error(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray]) -> float:
     """Largest entrywise deviation, scaled by the largest gradient magnitude."""
     if set(analytic) != set(numeric):
         raise ValueError("gradient bundles cover different parameters")
@@ -430,8 +421,8 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
                 l2_lambda=float(rng.uniform(0.0, 1e-3)),
             )
             model = init_model(config, seed=int(rng.integers(0, 2**31)))
-            for param in model.all_params().values():
-                param += rng.uniform(-0.3, 0.3, size=param.shape)
+            flat = model.params.flat
+            flat += rng.uniform(-0.3, 0.3, size=flat.size)
             m = int(rng.integers(1, 5))
             inputs = {t: rng.normal(size=(m, dims[t])) for t in subset}
             targets = rng.uniform(0.0, 1.0, size=(m, config.embed_dim))

@@ -15,6 +15,7 @@ trailing CRC32 of everything before it. Round-trips are bit-exact.
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -23,14 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .data import Dataset
-from .network import (
-    EmbeddingModel,
-    FusionNet,
-    NetConfig,
-    V_TO_S,
-    VisualMapNet,
-    init_model,
-)
+from .network import EmbeddingModel, NetConfig, ParamBuffer, init_model, param_shapes
 
 CHECKPOINT_MAGIC = b"ZSLC"
 CHECKPOINT_VERSION = 1
@@ -92,69 +86,80 @@ class TrainHistory:
         return len(self.losses)
 
 
-class Adam:
-    """Adam with bias correction; updates parameters in place."""
+# elements per optimizer pass: a block of each vector an update touches fits in L2
+_BLOCK = 1 << 15
 
-    def __init__(self, params: dict[str, np.ndarray], config: TrainConfig):
+
+def _blocks(*vectors: np.ndarray):
+    """Matching cache-sized slices of equally long vectors."""
+    for lo in range(0, vectors[0].size, _BLOCK):
+        yield [v[lo : lo + _BLOCK] for v in vectors]
+
+
+class Adam:
+    """Adam with bias correction over a whole flat parameter vector.
+
+    Entries whose gradient is always zero (parameters not being trained)
+    keep zero moments and so an update of exactly zero.
+    """
+
+    def __init__(self, params: ParamBuffer, config: TrainConfig):
         self.params = params
         self.lr = config.lr
         self.beta1 = config.beta1
         self.beta2 = config.beta2
         self.epsilon = config.epsilon
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
+        self.scratch = np.empty(min(_BLOCK, params.flat.size))
         self.steps = 0
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        _check_shapes(self.params, grads)
+    def step(self, grad: np.ndarray) -> None:
+        """Update ``params.flat`` from ``grad`` (same layout), using ``grad`` as scratch."""
+        if grad.shape != self.params.flat.shape:
+            raise ValueError(f"gradient shape {grad.shape} does not match {self.params.flat.shape}")
         self.steps += 1
         c1 = 1.0 - self.beta1 ** self.steps
         c2 = 1.0 - self.beta2 ** self.steps
-        for name, p in self.params.items():
-            g = grads[name]
-            m, v = self.m[name], self.v[name]
+        for p, g, m, v in _blocks(self.params.flat, grad, self.m, self.v):
+            s = self.scratch[: p.size]
+            np.multiply(g, 1.0 - self.beta1, out=s)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += s
+            np.multiply(g, g, out=s)
+            s *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
+            v += s
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in place
+            np.divide(m, c1, out=s)
+            s *= self.lr
+            np.divide(v, c2, out=g)
+            np.sqrt(g, out=g)
+            g += self.epsilon
+            s /= g
+            p -= s
 
 
 class SgdMomentum:
-    """Classic momentum: u <- mu*u + g; p <- p - lr*u."""
+    """Classic momentum over a whole flat parameter vector: u <- mu*u + g; p <- p - lr*u."""
 
-    def __init__(self, params: dict[str, np.ndarray], config: TrainConfig):
+    def __init__(self, params: ParamBuffer, config: TrainConfig):
         self.params = params
         self.lr = config.lr
         self.momentum = config.momentum
-        self.velocity = {k: np.zeros_like(v) for k, v in params.items()}
+        self.velocity = np.zeros_like(params.flat)
         self.steps = 0
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        _check_shapes(self.params, grads)
+    def step(self, grad: np.ndarray) -> None:
+        """Update ``params.flat`` from ``grad`` (same layout), using ``grad`` as scratch."""
+        if grad.shape != self.params.flat.shape:
+            raise ValueError(f"gradient shape {grad.shape} does not match {self.params.flat.shape}")
         self.steps += 1
-        for name, p in self.params.items():
-            u = self.velocity[name]
+        for p, g, u in _blocks(self.params.flat, grad, self.velocity):
             u *= self.momentum
-            u += grads[name]
-            p -= self.lr * u
-
-
-def _check_shapes(params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-    if set(params) != set(grads):
-        raise ValueError("gradient bundle does not cover the trained parameters")
-    for name, p in params.items():
-        if grads[name].shape != p.shape:
-            raise ValueError(
-                f"gradient shape {grads[name].shape} does not match "
-                f"parameter {name} {p.shape}"
-            )
-
-
-def make_optimizer(params: dict[str, np.ndarray], config: TrainConfig):
-    if config.optimizer == "adam":
-        return Adam(params, config)
-    return SgdMomentum(params, config)
+            u += g
+            np.multiply(u, self.lr, out=g)
+            p -= g
 
 
 def train(
@@ -190,8 +195,7 @@ def train(
     labels = dataset.visual.labels
     semantics = {tag: dataset.table(tag).matrix(labels) for tag in tags}
 
-    params = model.trainable_params(tags)
-    optimizer = make_optimizer(params, train_config)
+    optimizer = (Adam if train_config.optimizer == "adam" else SgdMomentum)(model.params, train_config)
     rng = np.random.default_rng(train_config.seed)
     for epoch in range(train_config.epochs):
         optimizer.lr = train_config.lr * train_config.lr_decay**epoch
@@ -201,7 +205,7 @@ def train(
             idx = order[start : start + train_config.batch_size]
             batch = {tag: semantics[tag][idx] for tag in tags}
             loss, grads = model.loss_and_grad(batch, targets[idx], tags)
-            optimizer.step(grads)
+            optimizer.step(grads.flat)
             total += loss * idx.size
         history.losses.append(total / n)
         history.lrs.append(optimizer.lr)
@@ -221,38 +225,20 @@ def save_history(history: TrainHistory, path: str | Path) -> None:
 
 
 def _encode_config(config: NetConfig) -> bytes:
-    dims = ",".join(f"{tag}:{dim}" for tag, dim in config.modality_dims.items())
-    lines = [
-        f"direction = {config.direction}",
-        f"embed_dim = {config.embed_dim}",
-        f"head_hidden = {config.head_hidden}",
-        f"head_out = {config.head_out}",
-        f"l2_lambda = {repr(float(config.l2_lambda))}",
-        f"modality_dims = {dims}",
-    ]
-    return "\n".join(lines).encode("utf-8")
+    """One ``key = value`` line per NetConfig field, in key order."""
+    fields = dataclasses.asdict(config)
+    fields["modality_dims"] = ",".join(f"{tag}:{dim}" for tag, dim in config.modality_dims.items())
+    fields["l2_lambda"] = repr(float(config.l2_lambda))
+    return "\n".join(f"{key} = {value}" for key, value in sorted(fields.items())).encode("utf-8")
 
 
 def _decode_config(blob: bytes) -> NetConfig:
-    fields: dict[str, str] = {}
+    """Inverse of ``_encode_config``."""
     try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError:
-        raise ValueError("corrupted payload (config block is not text)") from None
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"corrupted payload (bad config line {line!r})")
-        fields[key.strip()] = value.strip()
-    try:
-        dims = {}
-        for item in fields["modality_dims"].split(","):
-            tag, _, dim = item.partition(":")
-            dims[tag] = int(dim)
+        fields = dict(line.split(" = ", 1) for line in blob.decode("utf-8").splitlines())
+        dims = (item.split(":") for item in fields["modality_dims"].split(","))
         return NetConfig(
-            modality_dims=dims,
+            modality_dims={tag: int(dim) for tag, dim in dims},
             head_hidden=int(fields["head_hidden"]),
             head_out=int(fields["head_out"]),
             embed_dim=int(fields["embed_dim"]),
@@ -263,6 +249,15 @@ def _decode_config(blob: bytes) -> NetConfig:
         raise ValueError(f"corrupted payload (config block: {exc})") from None
 
 
+def _records(params: ParamBuffer):
+    """Each parameter's record header (name and shape) and array, in file order."""
+    for name in sorted(params):
+        arr = params[name]
+        encoded = name.encode("utf-8")
+        header = struct.pack(f"<H{len(encoded)}sB{arr.ndim}Q", len(encoded), encoded, arr.ndim, *arr.shape)
+        yield header, arr
+
+
 def save_checkpoint(model: EmbeddingModel, path: str | Path) -> None:
     """Serialize config and parameters; identical models produce identical bytes."""
     buf = bytearray()
@@ -271,40 +266,20 @@ def save_checkpoint(model: EmbeddingModel, path: str | Path) -> None:
     config_blob = _encode_config(model.config)
     buf += struct.pack("<I", len(config_blob))
     buf += config_blob
-    params = model.all_params()
-    buf += struct.pack("<I", len(params))
-    for name in sorted(params):
-        arr = np.ascontiguousarray(params[name], dtype="<f8")
-        encoded = name.encode("utf-8")
-        buf += struct.pack("<H", len(encoded))
-        buf += encoded
-        buf += struct.pack("<B", arr.ndim)
-        buf += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-        buf += arr.tobytes()
+    buf += struct.pack("<I", len(model.params))
+    for header, arr in _records(model.params):
+        buf += header
+        buf += arr.astype("<f8", copy=False).tobytes()
     buf += struct.pack("<I", zlib.crc32(bytes(buf)))
     Path(path).write_bytes(bytes(buf))
 
 
-class _Cursor:
-    """Bounds-checked reader; any overrun means a corrupted payload."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise ValueError("corrupted payload (truncated)")
-        chunk = self.data[self.off : self.off + n]
-        self.off += n
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def load_checkpoint(path: str | Path) -> EmbeddingModel:
-    """Read a checkpoint back into a model, verifying the trailing checksum."""
+    """Read a checkpoint back into a model, verifying the trailing checksum.
+
+    The config block fixes every parameter's name and shape, so each
+    record header must match the one ``save_checkpoint`` would write.
+    """
     data = Path(path).read_bytes()
     if len(data) < 8 or data[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: malformed header")
@@ -313,38 +288,33 @@ def load_checkpoint(path: str | Path) -> EmbeddingModel:
         raise ValueError(f"{path}: unsupported version {version}")
     if len(data) < 12:
         raise ValueError(f"{path}: corrupted payload (truncated)")
-    body, stored = data[:-4], struct.unpack("<I", data[-4:])[0]
+    body, stored = memoryview(data)[:-4], struct.unpack("<I", data[-4:])[0]
     if zlib.crc32(body) != stored:
         raise ValueError(f"{path}: corrupted payload (checksum mismatch)")
 
-    cur = _Cursor(body)
-    cur.take(8)  # magic + version, already validated
+    def take(start: int, n: int) -> bytes:
+        if start + n > len(body):
+            raise ValueError(f"{path}: corrupted payload (truncated)")
+        return body[start : start + n]
+
+    (config_len,) = struct.unpack("<I", take(8, 4))
     try:
-        (config_len,) = cur.unpack("<I")
-        config = _decode_config(cur.take(config_len))
-        (n_params,) = cur.unpack("<I")
-        params: dict[str, np.ndarray] = {}
-        for _ in range(n_params):
-            (name_len,) = cur.unpack("<H")
-            name = cur.take(name_len).decode("utf-8")
-            (ndim,) = cur.unpack("<B")
-            shape = cur.unpack(f"<{ndim}Q")
-            count = int(np.prod(shape)) if ndim else 1
-            raw = cur.take(count * 8)
-            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        config = _decode_config(bytes(take(12, config_len)))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if cur.off != len(body):
-        raise ValueError(f"{path}: corrupted payload (trailing bytes)")
-
-    fusion_params = {k: v for k, v in params.items() if not k.startswith("vmap.")}
-    vmap_params = {k: v for k, v in params.items() if k.startswith("vmap.")}
-    expected = {f"head.{tag}.{suffix}" for tag in config.tags for suffix in ("W1", "b1", "W2", "b2")}
-    expected |= {"out.W3", "out.b3"}
-    if config.direction == V_TO_S:
-        expected |= {f"vmap.{suffix}" for suffix in ("W1", "b1", "W2", "b2", "W3", "b3")}
-    if set(params) != expected:
+    if 8 * sum(math.prod(shape) for shape in param_shapes(config).values()) > len(body):
+        raise ValueError(f"{path}: corrupted payload (truncated)")
+    model = EmbeddingModel(config)
+    off = 12 + config_len
+    if take(off, 4) != struct.pack("<I", len(model.params)):
         raise ValueError(f"{path}: corrupted payload (parameter set mismatch)")
-    fusion = FusionNet(config, fusion_params)
-    visual_map = VisualMapNet(config, vmap_params) if config.direction == V_TO_S else None
-    return EmbeddingModel(config, fusion, visual_map)
+    off += 4
+    for header, arr in _records(model.params):
+        if take(off, len(header)) != header:
+            raise ValueError(f"{path}: corrupted payload (parameter set mismatch)")
+        off += len(header)
+        arr[...] = np.frombuffer(take(off, arr.nbytes), dtype="<f8").reshape(arr.shape)
+        off += arr.nbytes
+    if off != len(body):
+        raise ValueError(f"{path}: corrupted payload (trailing bytes)")
+    return model

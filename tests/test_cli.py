@@ -219,7 +219,7 @@ def test_train_direction_flag(cfg_path, tmp_path, capsys):
     capsys.readouterr()
     model = load_checkpoint(ckpt)
     assert model.direction == V_TO_S
-    assert any(name.startswith("vmap.") for name in model.all_params())
+    assert any(name.startswith("vmap.") for name in model.params)
 
 
 def test_eval_modality_subset_flag(cfg_path, tmp_path, capsys):

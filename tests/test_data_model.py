@@ -66,6 +66,17 @@ def test_feature_matrix_is_read_only():
         m.values[0, 0] = 9.0
 
 
+def test_containers_leave_caller_arrays_writable():
+    values, labels, vec = np.ones((2, 3)), np.array([0, 1]), np.ones(3)
+    m = FeatureMatrix(values, labels)
+    t = SemanticTable("A", {0: vec})
+    assert values.flags.writeable and labels.flags.writeable and vec.flags.writeable
+    values[0, 0] = labels[0] = vec[0] = 7
+    # the containers hold their own frozen copies
+    assert m.values[0, 0] == 1.0 and m.labels[0] == 0 and t.vectors[0][0] == 1.0
+    assert not m.values.flags.writeable and not t.vectors[0].flags.writeable
+
+
 def test_semantic_table_dim_consistency():
     with pytest.raises(ValueError, match="dim"):
         SemanticTable("W", {0: np.ones(3), 1: np.ones(4)})

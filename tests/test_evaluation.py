@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from zsl_embed.data import FeatureMatrix, SemanticTable, make_dataset
+from zsl_embed import evaluation
+from zsl_embed.data import Dataset, FeatureMatrix, SemanticTable, make_dataset
 from zsl_embed.evaluation import (
     REPORT_HEADER,
     AblationCell,
@@ -333,6 +334,39 @@ def test_ablate_jobs_parity():
         assert (a.modalities, a.direction, a.metric) == (b.modalities, b.direction, b.metric)
         assert a.result.top1 == b.result.top1
         assert a.result.confusion.tolist() == b.result.confusion.tolist()
+
+
+def test_ablate_sends_dataset_once_per_worker(monkeypatch):
+    """The pool gets the dataset through its initializer; tasks carry only the cell."""
+    sent = {}
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            sent["initargs"] = initargs
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            sent["tasks"] = list(tasks)
+            return map(fn, sent["tasks"])
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(evaluation, "_worker_dataset", None)
+    ds = build_dataset()
+    net = NetConfig(modality_dims=ds.modality_dims(), head_hidden=5, head_out=4,
+                    embed_dim=ds.visual.dim)
+    subsets = [("A",), ("A", "B")]
+    pooled = ablate(ds, net, quick_train_config(), subsets, jobs=2)
+    assert sent["initargs"] == (ds,)
+    assert len(sent["tasks"]) == 2
+    assert not any(isinstance(item, Dataset) for task in sent["tasks"] for item in task)
+    serial = ablate(ds, net, quick_train_config(), subsets, jobs=1)
+    assert [c.result.top1 for c in pooled] == [c.result.top1 for c in serial]
 
 
 def test_ablate_validation():

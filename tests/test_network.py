@@ -5,14 +5,10 @@ import numpy as np
 import pytest
 
 from zsl_embed.network import (
-    EmbeddingModel,
-    FusionNet,
     NetConfig,
     S_TO_V,
     V_TO_S,
-    VisualMapNet,
     init_model,
-    init_net,
     max_relative_error,
 )
 
@@ -51,7 +47,7 @@ def finite_difference(model, inputs, targets, active, step=1e-5):
 
 
 def jitter(model, rng, scale=0.3):
-    for p in model.all_params().values():
+    for p in model.params.values():
         p += rng.uniform(-scale, scale, size=p.shape)
 
 
@@ -72,9 +68,9 @@ def test_config_validation():
 
 def test_init_deterministic_and_seed_sensitive():
     cfg = toy_config()
-    a = init_net(cfg, seed=1)
-    b = init_net(cfg, seed=1)
-    c = init_net(cfg, seed=2)
+    a = init_model(cfg, seed=1).fusion
+    b = init_model(cfg, seed=1).fusion
+    c = init_model(cfg, seed=2).fusion
     for name in a.params:
         np.testing.assert_array_equal(a.params[name], b.params[name])
     assert not np.array_equal(a.params["head.A.W1"], c.params["head.A.W1"])
@@ -82,7 +78,7 @@ def test_init_deterministic_and_seed_sensitive():
 
 def test_init_glorot_bound():
     cfg = NetConfig(modality_dims={"A": 300}, head_hidden=512, head_out=8, embed_dim=8)
-    net = init_net(cfg, seed=0)
+    net = init_model(cfg, seed=0).fusion
     bound = math.sqrt(6.0 / (300 + 512))
     w1 = net.params["head.A.W1"]
     assert w1.shape == (512, 300)
@@ -93,7 +89,7 @@ def test_init_glorot_bound():
 
 def test_zero_weights_give_zero_embedding():
     cfg = toy_config()
-    net = init_net(cfg, seed=0)
+    net = init_model(cfg, seed=0).fusion
     for p in net.params.values():
         p[...] = 0.0
     embedded, fused = net.forward({"A": np.ones(3), "B": np.ones(2)}, ("A", "B"))
@@ -104,7 +100,7 @@ def test_zero_weights_give_zero_embedding():
 def test_hand_evaluated_chain():
     # one modality, 1-dim everywhere, weights 1/2/3 and zero biases: y=1 -> 6
     cfg = NetConfig(modality_dims={"A": 1}, head_hidden=1, head_out=1, embed_dim=1)
-    net = init_net(cfg, seed=0)
+    net = init_model(cfg, seed=0).fusion
     net.params["head.A.W1"][...] = 1.0
     net.params["head.A.W2"][...] = 2.0
     net.params["out.W3"][...] = 3.0
@@ -115,7 +111,7 @@ def test_hand_evaluated_chain():
 
 def test_fusion_additivity():
     cfg = toy_config(modality_dims={"A": 2, "B": 2})
-    net = init_net(cfg, seed=3)
+    net = init_model(cfg, seed=3).fusion
     # same head weights and same input on both modalities -> fused doubles
     for suffix in ("W1", "b1", "W2", "b2"):
         net.params[f"head.B.{suffix}"][...] = net.params[f"head.A.{suffix}"]
@@ -128,7 +124,7 @@ def test_fusion_additivity():
 def test_forward_subset_exclusion():
     # an inactive head contributes nothing, even with nonzero bias
     cfg = toy_config()
-    net = init_net(cfg, seed=4)
+    net = init_model(cfg, seed=4).fusion
     net.params["head.B.b2"][...] = 100.0
     rng = np.random.default_rng(0)
     inputs = {"A": rng.normal(size=3), "B": rng.normal(size=2)}
@@ -140,7 +136,7 @@ def test_forward_subset_exclusion():
 
 def test_forward_active_order_irrelevant():
     cfg = toy_config()
-    net = init_net(cfg, seed=5)
+    net = init_model(cfg, seed=5).fusion
     rng = np.random.default_rng(1)
     inputs = {"A": rng.normal(size=3), "B": rng.normal(size=2)}
     e1, f1 = net.forward(inputs, ("A", "B"))
@@ -150,7 +146,7 @@ def test_forward_active_order_irrelevant():
 
 
 def test_forward_errors():
-    net = init_net(toy_config(), seed=0)
+    net = init_model(toy_config(), seed=0).fusion
     with pytest.raises(ValueError, match="empty"):
         net.forward({"A": np.ones(3)}, ())
     with pytest.raises(ValueError, match="unknown"):
@@ -308,3 +304,34 @@ def test_gradients_only_cover_active_heads():
 def test_max_relative_error_mismatched_bundles():
     with pytest.raises(ValueError):
         max_relative_error({"a": np.zeros(1)}, {"b": np.zeros(1)})
+
+
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+def test_returned_gradients_survive_later_calls(direction):
+    rng = np.random.default_rng(13)
+    model = init_model(toy_config(direction=direction, l2_lambda=1e-3), seed=2)
+    inputs = {"A": rng.normal(size=(3, 3)), "B": rng.normal(size=(3, 2))}
+    targets = rng.uniform(0, 1, size=(3, 5))
+    _, grads = model.loss_and_grad(inputs, targets, ("A", "B"))
+    kept = {name: g.copy() for name, g in grads.items()}
+    flat = grads.flat.copy()
+    model.loss(inputs, targets, ("A",))
+    model.loss_and_grad({k: 2 * v for k, v in inputs.items()}, targets, ("A", "B"))
+    model.loss_and_grad(inputs, targets[::-1], ("B",))
+    for name, g in grads.items():
+        assert g.tobytes() == kept[name].tobytes(), name
+    assert grads.flat.tobytes() == flat.tobytes()
+
+
+def test_gradient_buffer_is_zero_outside_trained_parameters():
+    model = init_model(toy_config(direction=V_TO_S), seed=0)
+    jitter(model, np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    _, grads = model.loss_and_grad({"B": rng.normal(size=(2, 2))},
+                                   rng.uniform(0, 1, size=(2, 5)), ("B",))
+    assert set(grads) == set(model.trainable_params(("B",)))
+    assert grads.flat.shape == model.params.flat.shape
+    # the named views do not overlap, so every nonzero entry lies inside one
+    named = sum(int(np.count_nonzero(g)) for g in grads.values())
+    assert named > 0
+    assert np.count_nonzero(grads.flat) == named

@@ -1,11 +1,12 @@
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from zsl_embed.data import FeatureMatrix, SemanticTable, make_dataset
-from zsl_embed.network import NetConfig, S_TO_V, V_TO_S, init_model
+from zsl_embed.network import NetConfig, ParamBuffer, S_TO_V, V_TO_S, init_model
 from zsl_embed.synthetic import SynthConfig, generate
 from zsl_embed.training import (
     Adam,
@@ -78,43 +79,50 @@ def test_train_config_validation():
 # optimizer updates
 
 
+def buffer(**arrays):
+    """A ParamBuffer holding copies of the given arrays."""
+    buf = ParamBuffer({name: np.shape(a) for name, a in arrays.items()})
+    for name, a in arrays.items():
+        buf[name][...] = a
+    return buf
+
+
 def test_zero_gradient_is_fixed_point():
-    params = {"p": np.array([1.0, -2.0])}
     for opt in (
-        Adam(params, TrainConfig()),
-        SgdMomentum({"p": np.array([1.0, -2.0])}, TrainConfig(optimizer="sgd")),
+        Adam(buffer(p=np.array([1.0, -2.0])), TrainConfig()),
+        SgdMomentum(buffer(p=np.array([1.0, -2.0])), TrainConfig(optimizer="sgd")),
     ):
         before = {k: v.copy() for k, v in opt.params.items()}
         for _ in range(3):
-            opt.step({"p": np.zeros(2)})
+            opt.step(np.zeros(2))
         np.testing.assert_array_equal(opt.params["p"], before["p"])
 
 
 def test_adam_first_step_closed_form():
-    params = {"p": np.array([1.0])}
+    params = buffer(p=np.array([1.0]))
     opt = Adam(params, TrainConfig(lr=1e-4))
-    opt.step({"p": np.array([0.5])})
+    opt.step(np.array([0.5]))
     # bias correction makes m-hat = g and sqrt(v-hat) = |g| on step one
     assert params["p"][0] == pytest.approx(1.0 - 1e-4 * 0.5 / (0.5 + 1e-8), abs=1e-12)
     assert params["p"][0] == pytest.approx(0.9999, abs=1e-8)
 
 
 def test_sgd_momentum_hand_iteration():
-    params = {"p": np.array([1.0])}
+    params = buffer(p=np.array([1.0]))
     opt = SgdMomentum(params, TrainConfig(optimizer="sgd", lr=0.1, momentum=0.9))
-    opt.step({"p": np.array([1.0])})
+    opt.step(np.array([1.0]))
     assert params["p"][0] == pytest.approx(0.9, abs=1e-15)
-    opt.step({"p": np.array([1.0])})
+    opt.step(np.array([1.0]))
     assert params["p"][0] == pytest.approx(0.71, abs=1e-15)
 
 
 def test_adam_matches_scalar_reference():
     rng = np.random.default_rng(10)
     grads = rng.normal(size=12)
-    params = {"p": np.array([0.7])}
+    params = buffer(p=np.array([0.7]))
     opt = Adam(params, TrainConfig(lr=0.01))
     for g in grads:
-        opt.step({"p": np.array([g])})
+        opt.step(np.array([g]))
     want = scalar_adam(0.7, grads.tolist(), lr=0.01)
     assert params["p"][0] == pytest.approx(want, rel=1e-12)
 
@@ -122,30 +130,91 @@ def test_adam_matches_scalar_reference():
 def test_sgd_matches_scalar_reference():
     rng = np.random.default_rng(11)
     grads = rng.normal(size=12)
-    params = {"p": np.array([0.7])}
+    params = buffer(p=np.array([0.7]))
     opt = SgdMomentum(params, TrainConfig(optimizer="sgd", lr=0.05, momentum=0.4))
     for g in grads:
-        opt.step({"p": np.array([g])})
+        opt.step(np.array([g]))
     want = scalar_sgd(0.7, grads.tolist(), lr=0.05, mu=0.4)
     assert params["p"][0] == pytest.approx(want, rel=1e-12)
 
 
 def test_vanishing_lr_leaves_params_unchanged():
     for opt in (
-        Adam({"p": np.array([1.0])}, TrainConfig(lr=1e-300)),
-        SgdMomentum({"p": np.array([1.0])}, TrainConfig(optimizer="sgd", lr=1e-300)),
+        Adam(buffer(p=np.array([1.0])), TrainConfig(lr=1e-300)),
+        SgdMomentum(buffer(p=np.array([1.0])), TrainConfig(optimizer="sgd", lr=1e-300)),
     ):
         for _ in range(10):
-            opt.step({"p": np.array([1.0])})
+            opt.step(np.array([1.0]))
         assert opt.params["p"][0] == 1.0
 
 
 def test_step_shape_mismatch():
-    opt = Adam({"p": np.zeros(3)}, TrainConfig())
+    opt = Adam(buffer(p=np.zeros(3)), TrainConfig())
     with pytest.raises(ValueError, match="shape"):
-        opt.step({"p": np.zeros(2)})
-    with pytest.raises(ValueError, match="cover"):
-        opt.step({"q": np.zeros(3)})
+        opt.step(np.zeros(2))
+    # a length-1 gradient would broadcast over every parameter
+    with pytest.raises(ValueError, match="shape"):
+        opt.step(np.zeros(1))
+    with pytest.raises(ValueError, match="shape"):
+        SgdMomentum(buffer(p=np.zeros(3)), TrainConfig(optimizer="sgd")).step(np.zeros((3, 1)))
+
+
+def reference_adam(params, grad_steps, cfg):
+    """Per-array Adam loop, one array at a time, on copies of ``params``."""
+    params = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    for t, grads in enumerate(grad_steps, 1):
+        c1 = 1.0 - cfg.beta1**t
+        c2 = 1.0 - cfg.beta2**t
+        for name, p in params.items():
+            g = grads[name]
+            m[name] *= cfg.beta1
+            m[name] += (1.0 - cfg.beta1) * g
+            v[name] *= cfg.beta2
+            v[name] += (1.0 - cfg.beta2) * (g * g)
+            p -= cfg.lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + cfg.epsilon)
+    return params
+
+
+def reference_sgd(params, grad_steps, cfg):
+    """Per-array momentum loop, one array at a time, on copies of ``params``."""
+    params = {k: v.copy() for k, v in params.items()}
+    u = {k: np.zeros_like(v) for k, v in params.items()}
+    for grads in grad_steps:
+        for name, p in params.items():
+            u[name] *= cfg.momentum
+            u[name] += grads[name]
+            p -= cfg.lr * u[name]
+    return params
+
+
+@pytest.mark.parametrize(
+    "opt_cls, reference, cfg",
+    [
+        (Adam, reference_adam, TrainConfig(lr=3e-3)),
+        (SgdMomentum, reference_sgd, TrainConfig(optimizer="sgd", lr=0.05, momentum=0.9)),
+    ],
+)
+def test_flat_optimizer_matches_per_array_loop_bitwise(opt_cls, reference, cfg):
+    rng = np.random.default_rng(12)
+    # "a" alone is longer than one optimizer block, so block edges fall inside arrays
+    shapes = {"a": (257, 131), "b": (4,), "c": (2, 5), "d": (1,)}
+    start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    grad_steps = []
+    for _ in range(7):
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        grads["b"][1] = 0.0  # exact zeros and a gradient that stays zero throughout
+        grads["d"][...] = 0.0
+        grad_steps.append(grads)
+    params = buffer(**start)
+    opt = opt_cls(params, cfg)
+    for grads in grad_steps:
+        opt.step(buffer(**grads).flat)
+    want = reference(start, grad_steps, cfg)
+    for name in shapes:
+        assert params[name].tobytes() == want[name].tobytes(), name
+    assert params["d"].tobytes() == start["d"].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +227,8 @@ def test_epochs_zero_returns_initialized_model():
     model, history = train(ds, tiny_net(), cfg, ("A", "B"))
     assert len(history) == 0 and history.losses == [] and history.lrs == []
     fresh = init_model(tiny_net(), seed=9)
-    for name, p in model.all_params().items():
-        np.testing.assert_array_equal(p, fresh.all_params()[name])
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(p, fresh.params[name])
 
 
 def test_train_deterministic():
@@ -168,8 +237,8 @@ def test_train_deterministic():
     m1, h1 = train(ds, tiny_net(), cfg, ("A", "B"))
     m2, h2 = train(ds, tiny_net(), cfg, ("A", "B"))
     assert h1.losses == h2.losses
-    for name, p in m1.all_params().items():
-        assert p.tobytes() == m2.all_params()[name].tobytes()
+    for name, p in m1.params.items():
+        assert p.tobytes() == m2.params[name].tobytes()
 
 
 def test_train_seed_changes_result():
@@ -179,7 +248,26 @@ def test_train_seed_changes_result():
 
     m1, _ = train(ds, tiny_net(), dataclasses.replace(base, seed=1), ("A", "B"))
     m2, _ = train(ds, tiny_net(), dataclasses.replace(base, seed=2), ("A", "B"))
-    assert m1.all_params()["out.W3"].tobytes() != m2.all_params()["out.W3"].tobytes()
+    assert m1.params["out.W3"].tobytes() != m2.params["out.W3"].tobytes()
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+def test_untrained_parameters_stay_bitwise_equal(direction, optimizer):
+    net = tiny_net(direction)
+    cfg = TrainConfig(optimizer=optimizer, lr=1e-2, batch_size=3, epochs=4, seed=6)
+    model, _ = train(tiny_dataset(), net, cfg, ("A",))
+    fresh = init_model(net, seed=6)
+    frozen = ["head.B.W1", "head.B.b1", "head.B.W2", "head.B.b2"]
+    if direction == V_TO_S:
+        frozen += ["out.W3", "out.b3"]
+    for name in frozen:
+        assert model.params[name].tobytes() == fresh.params[name].tobytes(), name
+    trained = set(model.params) - set(frozen)
+    assert trained == set(model.trainable_params(("A",)))
+    for name in trained:
+        if name.rsplit(".", 1)[1].startswith("W"):
+            assert not np.array_equal(model.params[name], fresh.params[name]), name
 
 
 def test_lr_schedule_is_exact_power():
@@ -256,9 +344,9 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, direction):
     save_checkpoint(model, p)
     back = load_checkpoint(p)
     assert back.config == model.config
-    assert set(back.all_params()) == set(model.all_params())
-    for name, arr in model.all_params().items():
-        assert back.all_params()[name].tobytes() == arr.tobytes()
+    assert set(back.params) == set(model.params)
+    for name, arr in model.params.items():
+        assert back.params[name].tobytes() == arr.tobytes()
     save_checkpoint(back, tmp_path / "m2.ckpt")
     assert (tmp_path / "m2.ckpt").read_bytes() == p.read_bytes()
 
@@ -294,4 +382,38 @@ def test_checkpoint_bad_magic(tmp_path):
     p = tmp_path / "m.ckpt"
     p.write_bytes(b"WHAT" + struct.pack("<I", 1) + b"\x00" * 16)
     with pytest.raises(ValueError, match="malformed header"):
+        load_checkpoint(p)
+
+
+def resealed(body: bytes) -> bytes:
+    """A checkpoint body with a valid trailing CRC32."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def with_config(body: bytes, old: bytes, new: bytes) -> bytes:
+    """Replace text in the config block, keeping its length prefix right."""
+    (n,) = struct.unpack_from("<I", body, 8)
+    config = body[12 : 12 + n].replace(old, new)
+    return body[:8] + struct.pack("<I", len(config)) + config + body[12 + n :]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda b: b.replace(b"head.A.W1", b"head.A.W9"), "parameter set mismatch"),
+        (lambda b: with_config(b, b"head_hidden = 4", b"head_hidden = 5"), "parameter set mismatch"),
+        (lambda b: b + b"\x00" * 8, "trailing bytes"),
+        (lambda b: with_config(b, b"embed_dim = 4", b"embed_dim = 10000000"), "truncated"),
+        (lambda b: b.replace(b"direction = s2v", b"direction = up"), "config block"),
+    ],
+)
+def test_checkpoint_with_valid_crc_but_wrong_layout(tmp_path, edit, message):
+    model = trained_model()
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(model, p)
+    body = p.read_bytes()[:-4]
+    edited = edit(body)
+    assert edited != body
+    p.write_bytes(resealed(edited))
+    with pytest.raises(ValueError, match=message):
         load_checkpoint(p)
