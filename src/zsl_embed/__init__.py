@@ -39,7 +39,7 @@ from zsl_embed.metric import (
     ec_distance,
     metric_distance,
     pairwise_distances,
-    rank_classes,
+    top_k_classes,
 )
 from zsl_embed.network import (
     EmbeddingModel,
@@ -101,12 +101,12 @@ __all__ = [
     "make_dataset",
     "metric_distance",
     "pairwise_distances",
-    "rank_classes",
     "read_report_csv",
     "save_checkpoint",
     "save_dataset",
     "save_feature_matrix",
     "save_semantic_table",
     "save_split",
+    "top_k_classes",
     "train",
 ]

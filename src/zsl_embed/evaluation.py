@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import Dataset, SemanticTable
-from .metric import MetricKind, pairwise_distances
+from .metric import MetricKind, pairwise_distances, top_k_classes
 from .network import DIRECTIONS, EmbeddingModel, NetConfig, S_TO_V
 from .training import TrainConfig, train
 
@@ -68,15 +68,17 @@ def embed_class_prototypes(
     return model.embed(inputs, tags)
 
 
-def prediction_distances(
-    model: EmbeddingModel,
-    dataset: Dataset,
-    metric: MetricKind,
-    active: Iterable[str],
-) -> tuple[np.ndarray, list[int]]:
-    """Distance matrix (test samples x unseen classes) and its class order."""
+def _scoring_inputs(
+    model: EmbeddingModel, dataset: Dataset, active: Iterable[str]
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Queries (test samples), prototypes (unseen classes) and the class order.
+
+    Raises ValueError naming the class or the test row if any of them is
+    not finite, as a diverged model's would be.
+    """
+    tags = model.fusion.check_active(active)
     ids = sorted(dataset.unseen)
-    prototypes = embed_class_prototypes(model, dataset.semantics, ids, active)
+    prototypes = embed_class_prototypes(model, dataset.semantics, ids, tags)
     if model.direction == S_TO_V:
         queries = dataset.test_visual.values
         if queries.shape[1] != model.config.embed_dim:
@@ -86,6 +88,26 @@ def prediction_distances(
             )
     else:
         queries = model.map_visual(dataset.test_visual.values)
+    bad = ~np.isfinite(prototypes).all(axis=1)
+    if bad.any():
+        raise ValueError(
+            f"prototype of unseen class {ids[int(np.argmax(bad))]} from modalities "
+            f"{'+'.join(tags)} is not finite"
+        )
+    bad = ~np.isfinite(queries).all(axis=1)
+    if bad.any():
+        raise ValueError(f"query of test row {int(np.argmax(bad))} is not finite")
+    return queries, prototypes, ids
+
+
+def prediction_distances(
+    model: EmbeddingModel,
+    dataset: Dataset,
+    metric: MetricKind,
+    active: Iterable[str],
+) -> tuple[np.ndarray, list[int]]:
+    """Distance matrix (test samples x unseen classes) and its class order."""
+    queries, prototypes, ids = _scoring_inputs(model, dataset, active)
     return pairwise_distances(queries, prototypes, metric), ids
 
 
@@ -96,7 +118,10 @@ def evaluate(
     active: Iterable[str],
     direction: str | None = None,
 ) -> EvalResult:
-    """Score the model on the dataset's unseen classes."""
+    """Score the model on the dataset's unseen classes.
+
+    Raises ValueError if a query, a prototype or a distance is not finite.
+    """
     if direction is not None and direction != model.direction:
         raise ValueError(
             f"requested direction {direction!r} but the model was built for "
@@ -104,14 +129,13 @@ def evaluate(
         )
     if dataset.test_visual.rows == 0:
         raise ValueError("no test samples")
-    distances, ids = prediction_distances(model, dataset, metric, active)
+    queries, prototypes, ids = _scoring_inputs(model, dataset, active)
     id_to_idx = {c: i for i, c in enumerate(ids)}
     true_idx = np.asarray([id_to_idx[int(c)] for c in dataset.test_visual.labels])
 
-    ranked = np.argsort(distances, axis=1, kind="stable")
-    k = min(5, len(ids))
+    ranked = top_k_classes(queries, prototypes, metric, min(5, len(ids)))
     hit1 = ranked[:, 0] == true_idx
-    hit5 = (ranked[:, :k] == true_idx[:, None]).any(axis=1)
+    hit5 = (ranked == true_idx[:, None]).any(axis=1)
 
     n_cls = len(ids)
     confusion = np.zeros((n_cls, n_cls), dtype=np.int64)

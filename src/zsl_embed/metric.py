@@ -1,4 +1,4 @@
-"""Distance functions and class ranking.
+"""Distance functions and nearest-prototype ranking.
 
 ``ec`` is a combined metric: ``(1 - eta * cos<a, b>) * ||a - b||^2``. At
 ``eta = 0`` it reduces to squared Euclidean distance; larger ``eta`` lets
@@ -101,34 +101,56 @@ def metric_distance(a, b, metric: MetricKind) -> float:
     return ec_distance(a, b, metric.eta)
 
 
-def pairwise_distances(queries, prototypes, metric: MetricKind) -> np.ndarray:
-    """Distance matrix (queries x prototypes) under the selected metric.
+# bytes of the temporaries one block of scoring allocates: about one
+# core's L2 cache
+_BLOCK_BYTES = 2 << 20
 
-    Accepts a FeatureMatrix or a 2-D array for ``queries``. Entry (i, c)
-    equals ``metric_distance(queries[i], prototypes[c], metric)`` exactly;
-    reductions are elementwise (no BLAS accumulation) to keep per-entry
-    results identical to a scalar double loop.
-    """
+
+def _as_matrices(queries, prototypes) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(queries, FeatureMatrix):
         queries = queries.values
-    q = np.asarray(queries, dtype=np.float64)
-    p = np.asarray(prototypes, dtype=np.float64)
+    # row-major, so every reduction over the last axis runs in one order
+    q = np.ascontiguousarray(queries, dtype=np.float64)
+    p = np.ascontiguousarray(prototypes, dtype=np.float64)
     if q.ndim != 2 or p.ndim != 2:
         raise ValueError("queries and prototypes must be 2-D")
     if q.shape[1] != p.shape[1]:
         raise ValueError(
             f"dimension mismatch: queries have dim {q.shape[1]}, prototypes {p.shape[1]}"
         )
-    diff = q[:, None, :] - p[None, :, :]
-    diff *= diff
-    eucsq = np.sum(diff, axis=-1)
-    del diff  # free the q x p x d temporary before the product for the dots
-    if metric.kind == "euclidean":
-        return eucsq
-    dots = np.sum(q[:, None, :] * p[None, :, :], axis=-1)
-    qn = np.sqrt(np.sum(q * q, axis=1))
-    pn = np.sqrt(np.sum(p * p, axis=1))
-    denom = qn[:, None] * pn[None, :]
+    return q, p
+
+
+def _rows_per_block(row_bytes: int) -> int:
+    return max(1, _BLOCK_BYTES // max(row_bytes, 1))
+
+
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares, reduced as ``metric_distance`` reduces it."""
+    out = np.empty(x.shape[0])
+    step = _rows_per_block(8 * x.shape[1])
+    for lo in range(0, x.shape[0], step):
+        block = x[lo : lo + step]
+        out[lo : lo + step] = np.sum(block * block, axis=1)
+    return out
+
+
+def _exact(q, p, qn, pn, metric: MetricKind) -> np.ndarray:
+    """Distances between the rows of ``q`` and ``p``, broadcast against each other.
+
+    ``q`` and ``p`` broadcast to (..., d) and their norms ``qn`` and ``pn``
+    to (...). Every entry is reduced over the last axis alone, as
+    ``metric_distance`` reduces one pair.
+    """
+    if metric.kind != "cosine":
+        diff = q - p
+        diff *= diff
+        eucsq = np.sum(diff, axis=-1)
+        del diff  # free the temporary before the product for the dots
+        if metric.kind == "euclidean":
+            return eucsq
+    dots = np.sum(q * p, axis=-1)
+    denom = qn * pn
     cos = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
     np.clip(cos, -1.0, 1.0, out=cos)
     if metric.kind == "cosine":
@@ -136,12 +158,89 @@ def pairwise_distances(queries, prototypes, metric: MetricKind) -> np.ndarray:
     return (1.0 - metric.eta * cos) * eucsq
 
 
-def rank_classes(dist_row, k: int) -> list[int]:
-    """Indices of the k smallest distances, ascending; ties break by index."""
-    row = np.asarray(dist_row, dtype=np.float64)
-    if row.ndim != 1:
-        raise ValueError("distance row must be 1-D")
-    if not 1 <= k <= row.size:
-        raise ValueError(f"k must be in [1, {row.size}], got {k}")
-    order = np.argsort(row, kind="stable")
-    return [int(i) for i in order[:k]]
+def pairwise_distances(queries, prototypes, metric: MetricKind) -> np.ndarray:
+    """Distance matrix (queries x prototypes) under the selected metric.
+
+    Accepts a FeatureMatrix or a 2-D array for ``queries``. Entry (i, c)
+    equals ``metric_distance(queries[i], prototypes[c], metric)`` exactly;
+    reductions are elementwise (no BLAS accumulation) to keep per-entry
+    results identical to a scalar double loop. Query rows are scored in
+    blocks whose temporary stays within ``_BLOCK_BYTES``.
+    """
+    q, p = _as_matrices(queries, prototypes)
+    qn, pn = np.sqrt(_squared_norms(q)), np.sqrt(_squared_norms(p))
+    out = np.empty((q.shape[0], p.shape[0]))
+    step = _rows_per_block(8 * p.size)
+    for lo in range(0, q.shape[0], step):
+        hi = lo + step
+        out[lo:hi] = _exact(q[lo:hi, None, :], p[None], qn[lo:hi, None], pn[None], metric)
+    return out
+
+
+def _screen(qsq, psq, dots, metric: MetricKind, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distances from squared norms and BLAS dot products, with error bounds.
+
+    Each bound covers the distance of ``_exact`` whatever order either
+    side sums in: 4(d + 4) eps (|q| + |p|)^2 for the squared Euclidean
+    part, 8(d + 4) eps for the cosine (plus an underflow term each), and
+    their composition for ``ec``. That is about four times the worst
+    case of ``d`` rounded products and sums on both sides.
+    """
+    eps = np.finfo(np.float64).eps
+    tiny = np.finfo(np.float64).smallest_subnormal
+    c = 4.0 * (dim + 4)
+    qn, pn = np.sqrt(qsq)[:, None], np.sqrt(psq)[None, :]
+    if metric.kind != "euclidean":
+        denom = qn * pn
+        cos = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+        np.clip(cos, -1.0, 1.0, out=cos)
+        cos_err = 2.0 * c * (eps + np.divide(tiny, denom, out=np.zeros_like(denom), where=denom > 0))
+        if metric.kind == "cosine":
+            return 1.0 - cos, cos_err + 2.0 * eps
+    eucsq = qsq[:, None] + psq[None, :] - 2.0 * dots
+    euc_err = c * (eps * (qn + pn) ** 2 + tiny)
+    if metric.kind == "euclidean":
+        return eucsq, euc_err
+    w = 1.0 - metric.eta * cos
+    w_err = metric.eta * cos_err + 4.0 * eps
+    w_hi, e_hi = w + w_err, np.abs(eucsq) + euc_err
+    return w * eucsq, w_hi * euc_err + e_hi * w_err + eps * w_hi * e_hi
+
+
+def top_k_classes(queries, prototypes, metric: MetricKind, k: int) -> np.ndarray:
+    """Each query's k nearest prototype rows, nearest first; ties break by index.
+
+    Equals ``np.argsort(pairwise_distances(...), axis=1, kind="stable")[:, :k]``.
+    One GEMM of dot products bounds every distance; only prototypes whose
+    lower bound reaches the k-th smallest upper bound of their row are
+    rescored with the exact kernel of ``pairwise_distances``. Raises
+    ValueError if an exact distance it computes is not finite.
+    """
+    q, p = _as_matrices(queries, prototypes)
+    if not 1 <= k <= p.shape[0]:
+        raise ValueError(f"k must be in [1, {p.shape[0]}], got {k}")
+    # overflow and NaN are handled: such rows are rescored, and such distances raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        qsq, psq = _squared_norms(q), _squared_norms(p)
+        approx, err = _screen(qsq, psq, q @ p.T, metric, q.shape[1])
+        lower, upper = approx - err, approx + err
+        kth = np.partition(upper, k - 1, axis=1)[:, k - 1 : k]
+        candidate = lower <= kth
+        # a row whose bounds overflowed or met a NaN is rescored in full
+        candidate[~(np.isfinite(lower) & np.isfinite(upper)).all(axis=1)] = True
+        rows, cols = np.nonzero(candidate)
+        qn, pn = np.sqrt(qsq), np.sqrt(psq)
+        exact = np.full(approx.shape, np.inf)
+        step = _rows_per_block(3 * 8 * q.shape[1])  # q rows, p rows and one temporary
+        for lo in range(0, rows.size, step):
+            r, c = rows[lo : lo + step], cols[lo : lo + step]
+            scored = _exact(q[r], p[c], qn[r], pn[c], metric)
+            bad = ~np.isfinite(scored)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(
+                    f"non-finite {metric.label()} distance {scored[i]} between "
+                    f"query row {r[i]} and prototype row {c[i]}"
+                )
+            exact[r, c] = scored
+    return np.argsort(exact, axis=1, kind="stable")[:, :k]

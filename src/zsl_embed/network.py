@@ -277,20 +277,12 @@ class EmbeddingModel:
         return out[0] if single else out
 
     def loss(self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str]) -> float:
-        return self.loss_and_grad(inputs, targets, active)[0]
+        """The loss of ``loss_and_grad``, from the forward pass alone."""
+        return self._forward(inputs, targets, active)[0]
 
-    def loss_and_grad(
-        self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str]
-    ) -> tuple[float, ParamBuffer]:
-        """Mean squared error plus L2 weight penalty, with analytic gradients.
-
-        ``targets`` holds one visual feature row per sample. The L2 term
-        covers the weight matrices (not biases) of the parameters being
-        trained, so the returned gradients are exact partials of the
-        returned loss. The gradients are a new buffer laid out like
-        ``params`` that names only the trained parameters; the entries of
-        the others are zero.
-        """
+    def _forward(self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str]):
+        """The loss and what the backward pass needs: the trained stacks, the
+        heads' caches, the top stack's cache, the residual and the batch size."""
         tags = self.fusion.check_active(active)
         x = np.asarray(targets, dtype=np.float64)
         if x.ndim != 2:
@@ -308,33 +300,53 @@ class EmbeddingModel:
                 raise ValueError(f"modality {t}: {batch[t].shape[0]} rows for {m} targets")
 
         trained = self._trained(tags)
+        fused, head_caches = self.fusion.fuse(batch, tags)
+        if self.direction == S_TO_V:
+            embedded, acts = trained[0].forward(fused)
+            residual = embedded - x
+        else:
+            mapped, acts = trained[0].forward(x)
+            residual = mapped - fused
+        reg = 0.0
+        for stack in trained:
+            for w, _ in reversed(stack.names):
+                p = stack.params[w]
+                reg += float(np.sum(p * p))
+        loss = float(np.sum(residual * residual)) / m + self.config.l2_lambda * reg
+        return loss, trained, head_caches, acts, residual, m
+
+    def loss_and_grad(
+        self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str]
+    ) -> tuple[float, ParamBuffer]:
+        """Mean squared error plus L2 weight penalty, with analytic gradients.
+
+        ``targets`` holds one visual feature row per sample. The L2 term
+        covers the weight matrices (not biases) of the parameters being
+        trained, so the returned gradients are exact partials of the
+        returned loss. The gradients are a new buffer laid out like
+        ``params`` that names only the trained parameters; the entries of
+        the others are zero.
+        """
+        loss, trained, head_caches, acts, residual, m = self._forward(inputs, targets, active)
         grads = ParamBuffer(
             {name: p.shape for name, p in self.params.items()},
             names=[name for stack in trained for name in stack.params],
         )
-        fused, head_caches = self.fusion.fuse(batch, tags)
         top = trained[0]
         if self.direction == S_TO_V:
-            embedded, acts = top.forward(fused)
-            residual = embedded - x
             d_fused = top.backward(acts, (2.0 / m) * residual, grads, input_grad=True)
         else:
-            mapped, acts = top.forward(x)
-            residual = mapped - fused
             top.backward(acts, (2.0 / m) * residual, grads)
             d_fused = (-2.0 / m) * residual
         for head, head_acts in zip(trained[1:], head_caches):
             head.backward(head_acts, d_fused, grads)
 
         lam = self.config.l2_lambda
-        reg = 0.0
-        for stack in trained:
-            for w, _ in reversed(stack.names):
-                p = stack.params[w]
-                reg += float(np.sum(p * p))
-                if lam != 0.0:
-                    grads[w] += (2.0 * lam) * p
-        return float(np.sum(residual * residual)) / m + lam * reg, grads
+        if lam != 0.0:
+            for stack in trained:
+                for w, _ in stack.names:
+                    grads[w] += (2.0 * lam) * stack.params[w]
+        return loss, grads
 
 
 def init_model(config: NetConfig, seed: int) -> EmbeddingModel:

@@ -192,8 +192,9 @@ def train(
     if n == 0:
         raise ValueError("empty training set")
     targets = dataset.visual.values
-    labels = dataset.visual.labels
-    semantics = {tag: dataset.table(tag).matrix(labels) for tag in tags}
+    # one semantic row per seen class; a sample's row is at its label's position
+    classes, positions = np.unique(dataset.visual.labels, return_inverse=True)
+    semantics = {tag: dataset.table(tag).matrix(classes) for tag in tags}
 
     optimizer = (Adam if train_config.optimizer == "adam" else SgdMomentum)(model.params, train_config)
     rng = np.random.default_rng(train_config.seed)
@@ -203,7 +204,8 @@ def train(
         total = 0.0
         for start in range(0, n, train_config.batch_size):
             idx = order[start : start + train_config.batch_size]
-            batch = {tag: semantics[tag][idx] for tag in tags}
+            rows = positions[idx]
+            batch = {tag: semantics[tag][rows] for tag in tags}
             loss, grads = model.loss_and_grad(batch, targets[idx], tags)
             optimizer.step(grads.flat)
             total += loss * idx.size

@@ -23,7 +23,7 @@ from zsl_embed.evaluation import (
     hubness_skewness,
     prediction_distances,
 )
-from zsl_embed.metric import MetricKind, cosine_sim, ec_distance, metric_distance, rank_classes
+from zsl_embed.metric import MetricKind, cosine_sim, ec_distance, metric_distance, top_k_classes
 from zsl_embed.network import NetConfig, S_TO_V, V_TO_S, gradient_check, init_model
 from zsl_embed.synthetic import ModalitySpec, SynthConfig, generate
 from zsl_embed.training import TrainConfig, load_checkpoint, save_checkpoint, train
@@ -223,7 +223,7 @@ def test_criterion_8_degenerate_inputs():
         cosine_sim(zero, one) == 0.0,
         cosine_sim(zero, zero) == 0.0,
         ec_distance(zero, one, eta=0.9) == 25.0,
-        rank_classes(np.array([0.5, 0.5]), k=2) == [0, 1],
+        top_k_classes(np.zeros((1, 1)), np.array([[0.5], [0.5]]), EU, k=2).tolist() == [[0, 1]],
     ]
 
     rng = np.random.default_rng(8)

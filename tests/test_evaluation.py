@@ -209,6 +209,34 @@ def test_evaluate_no_test_samples():
         evaluate(build_model(ds), empty, MetricKind.ec(0.9), ("A",))
 
 
+def test_evaluate_rejects_non_finite_prototypes():
+    ds = build_dataset()
+    model = build_model(ds)
+    model.params["head.B.W1"][0, 0] = np.nan  # as a diverged training leaves it
+    with pytest.raises(ValueError, match="prototype of unseen class 3 from modalities A\\+B"):
+        evaluate(model, ds, MetricKind.ec(0.9), ("A", "B"))
+    with pytest.raises(ValueError, match="not finite"):
+        prediction_distances(model, ds, MetricKind.ec(0.9), ("A", "B"))
+    assert evaluate(model, ds, MetricKind.ec(0.9), ("A",)).top1 >= 0.0  # head B unused
+
+
+def test_evaluate_rejects_non_finite_queries():
+    ds = build_dataset()
+    model = build_model(ds, direction=V_TO_S)
+    model.params["vmap.W1"][0, 0] = np.nan
+    with pytest.raises(ValueError, match="query of test row 0"):
+        evaluate(model, ds, MetricKind.euclidean(), ("A",))
+
+
+@pytest.mark.parametrize("metric", [MetricKind.euclidean(), MetricKind.ec(0.9)], ids=lambda m: m.kind)
+def test_evaluate_rejects_non_finite_distances(metric):
+    ds = build_dataset()
+    huge = FeatureMatrix(ds.test_visual.values * 1e200, ds.test_visual.labels)
+    ds = dataclasses.replace(ds, test_visual=huge)  # finite, but its squared distances overflow
+    with pytest.raises(ValueError, match="non-finite .* distance"):
+        evaluate(build_model(ds), ds, metric, ("A", "B"))
+
+
 def test_prediction_distances_dim_guard():
     ds = build_dataset()
     cfg = NetConfig(modality_dims=ds.modality_dims(), head_hidden=5, head_out=4,

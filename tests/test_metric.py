@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zsl_embed import metric as metric_module
 from zsl_embed.data import FeatureMatrix
 from zsl_embed.metric import (
     MetricKind,
@@ -12,8 +14,10 @@ from zsl_embed.metric import (
     ec_distance,
     metric_distance,
     pairwise_distances,
-    rank_classes,
+    top_k_classes,
 )
+
+ALL_METRICS = (MetricKind.euclidean(), MetricKind.cosine(), MetricKind.ec(0.9))
 
 finite_vec = st.lists(
     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False), min_size=2, max_size=6
@@ -168,36 +172,144 @@ def test_pairwise_zero_row_cosine_convention():
     assert d_ec[0, 1] == 0.0
 
 
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.kind)
+def test_pairwise_blocks_match_double_loop_bitwise(metric):
+    rng = np.random.default_rng(7)
+    q = rng.normal(size=(7, 2048))
+    p = rng.normal(size=(50, 2048))
+    q[2] = p[4]
+    p[9] = 0.0
+    per_block = metric_module._BLOCK_BYTES // (8 * p.size)
+    assert 1 <= per_block < 7 and 7 % per_block  # several blocks and a ragged tail
+    d = pairwise_distances(q, p, metric)
+    for i in range(7):
+        for c in range(50):
+            assert d[i, c] == metric_distance(q[i], p[c], metric)
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.kind)
+def test_pairwise_bitwise_for_column_major_inputs(metric):
+    rng = np.random.default_rng(9)
+    q = np.asfortranarray(rng.normal(size=(9, 300)))
+    p = np.asfortranarray(rng.normal(size=(12, 300)))
+    d = pairwise_distances(q, p, metric)
+    for i in range(9):
+        for c in range(12):
+            assert d[i, c] == metric_distance(q[i], p[c], metric)
+
+
+@pytest.mark.parametrize(
+    "score",
+    [pairwise_distances, lambda q, p, m: top_k_classes(q, p, m, 5)],
+    ids=["pairwise_distances", "top_k_classes"],
+)
+def test_scoring_memory_is_bounded(score):
+    rng = np.random.default_rng(0)
+    q = rng.normal(size=(300, 2048))
+    p = rng.normal(size=(50, 2048))
+    tracemalloc.start()
+    try:
+        score(q, p, MetricKind.ec(0.9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a 2 MiB block plus q x p results; a whole q x p x d temporary is 246 MB
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+
 # ---------------------------------------------------------------------------
 # ranking
 
 
-def test_rank_classes_argmin():
-    assert rank_classes([0.3, 0.1, 0.2], k=1) == [1]
+def ranks_1d(coords, k):
+    """top_k_classes of a query at 0 among 1-D prototypes at ``coords``."""
+    prototypes = np.asarray(coords, dtype=np.float64)[:, None]
+    return top_k_classes(np.zeros((1, 1)), prototypes, MetricKind.euclidean(), k)[0].tolist()
 
 
-def test_rank_classes_tie_break_by_index():
-    assert rank_classes([0.5, 0.5], k=2) == [0, 1]
-    assert rank_classes([0.2, 0.1, 0.1, 0.2], k=4) == [1, 2, 0, 3]
+def test_top_k_argmin():
+    assert ranks_1d([0.3, 0.1, 0.2], k=1) == [1]
 
 
-def test_rank_classes_bad_k():
+def test_top_k_tie_break_by_index():
+    assert ranks_1d([0.5, 0.5], k=2) == [0, 1]
+    assert ranks_1d([0.2, 0.1, 0.1, 0.2], k=4) == [1, 2, 0, 3]
+
+
+def test_top_k_bad_k():
     with pytest.raises(ValueError):
-        rank_classes([0.1, 0.2], k=0)
+        ranks_1d([0.1, 0.2], k=0)
     with pytest.raises(ValueError):
-        rank_classes([0.1, 0.2], k=3)
+        ranks_1d([0.1, 0.2], k=3)
 
 
 @given(st.integers(0, 2**31 - 1))
-def test_rank_classes_matches_sorted_pairs(seed):
+def test_top_k_matches_sorted_pairs(seed):
     rng = np.random.default_rng(seed)
     row = rng.uniform(0, 1, size=10)
-    want = [i for _, i in sorted((d, i) for i, d in enumerate(row))][:5]
-    assert rank_classes(row, k=5) == want
+    want = [i for _, i in sorted((x * x, i) for i, x in enumerate(row))][:5]
+    assert ranks_1d(row, k=5) == want
 
 
 @given(st.integers(0, 2**31 - 1), st.floats(0.1, 100))
 def test_rank_invariant_under_positive_scaling(seed, scale):
     rng = np.random.default_rng(seed)
     row = rng.uniform(0, 1, size=8)
-    assert rank_classes(row, k=8) == rank_classes(row * scale, k=8)
+    assert ranks_1d(row, k=8) == ranks_1d(row * scale, k=8)
+
+
+@st.composite
+def scoring_case(draw):
+    """Queries, prototypes, a metric and k, with ties and near-ties planted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n_q, n_p, dim = draw(st.integers(1, 8)), draw(st.integers(1, 10)), draw(st.integers(1, 40))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    q = rng.normal(size=(n_q, dim)) * scale
+    p = rng.normal(size=(n_p, dim)) * scale
+    for _ in range(draw(st.integers(0, 6))):
+        i, j, c = draw(st.integers(0, n_p - 1)), draw(st.integers(0, n_p - 1)), draw(st.integers(0, n_q - 1))
+        plant = draw(st.sampled_from(["duplicate", "ulp", "zero", "on_prototype", "midpoint", "zero_query"]))
+        if plant == "duplicate":
+            p[j] = p[i]
+        elif plant == "ulp":  # one coordinate one step away: distances tie or nearly
+            p[j] = p[i]
+            p[j, 0] = np.nextafter(p[i, 0], np.inf)
+        elif plant == "zero":
+            p[j] = 0.0
+        elif plant == "on_prototype":
+            q[c] = p[i]
+        elif plant == "midpoint":  # equidistant from two prototypes up to rounding
+            q[c] = (p[i] + p[j]) / 2.0
+        else:
+            q[c] = 0.0
+    metric = draw(st.sampled_from(ALL_METRICS[:2] + tuple(MetricKind.ec(e) for e in (0.0, 0.5, 0.9, 1.0))))
+    return q, p, metric, draw(st.integers(1, n_p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scoring_case())
+def test_top_k_equals_stable_argsort_of_exact_distances(case):
+    q, p, metric, k = case
+    want = np.argsort(pairwise_distances(q, p, metric), axis=1, kind="stable")[:, :k]
+    np.testing.assert_array_equal(top_k_classes(q, p, metric, k), want)
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.kind)
+def test_top_k_at_paper_dimension(metric):
+    rng = np.random.default_rng(3)
+    p = rng.uniform(0, 1, size=(50, 2048))
+    p[10] = p[3]
+    p[20] = 0.0
+    q = rng.uniform(0, 1, size=(200, 2048))
+    q[:40] = p[rng.integers(0, 50, 40)]
+    want = np.argsort(pairwise_distances(q, p, metric), axis=1, kind="stable")[:, :5]
+    np.testing.assert_array_equal(top_k_classes(q, p, metric, 5), want)
+
+
+def test_top_k_rejects_non_finite_distances():
+    p = np.array([[0.0, 0.0], [1e200, 0.0]])
+    with pytest.raises(ValueError, match="query row 0 and prototype row 1"):
+        top_k_classes(np.zeros((1, 2)), p, MetricKind.euclidean(), 1)
+    p[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        top_k_classes(np.zeros((2, 2)), p, MetricKind.ec(0.9), 1)

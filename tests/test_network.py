@@ -222,6 +222,19 @@ def test_loss_batch_order_invariant():
     assert a == pytest.approx(b, rel=1e-12)
 
 
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+def test_forward_only_loss_equals_loss_and_grad_bitwise(direction, lam):
+    rng = np.random.default_rng(12)
+    model = init_model(toy_config(direction, l2_lambda=lam), seed=4)
+    jitter(model, rng)
+    inputs = {"A": rng.normal(size=(5, 3)), "B": rng.normal(size=(5, 2))}
+    targets = rng.uniform(0, 1, size=(5, 5))
+    for active in (("A",), ("A", "B")):
+        loss = model.loss(inputs, targets, active)
+        assert loss.hex() == model.loss_and_grad(inputs, targets, active)[0].hex()
+
+
 def test_loss_errors():
     model = init_model(toy_config(), seed=0)
     with pytest.raises(ValueError, match="empty batch"):

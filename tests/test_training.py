@@ -270,6 +270,31 @@ def test_untrained_parameters_stay_bitwise_equal(direction, optimizer):
             assert not np.array_equal(model.params[name], fresh.params[name]), name
 
 
+def test_train_matches_per_sample_semantic_rows():
+    """Batches gathered from one row per class equal the per-sample rows."""
+    rng = np.random.default_rng(5)
+    labels = np.array([11, 2, 7, 2, 11, 11, 7, 2, 7])  # unsorted, non-contiguous ids
+    visual = FeatureMatrix(rng.uniform(0, 1, (9, 4)), labels)
+    test_visual = FeatureMatrix(rng.uniform(0, 1, (2, 4)), np.array([4, 4]))
+    tables = [SemanticTable(t, {c: rng.normal(size=3) for c in (2, 4, 7, 11)}) for t in "AB"]
+    ds = make_dataset(visual, test_visual, tables, {2, 7, 11}, {4})
+    cfg = TrainConfig(lr=1e-2, batch_size=4, epochs=3, seed=8)
+    model, history = train(ds, tiny_net(), cfg, ("A", "B"))
+
+    ref = init_model(tiny_net(), cfg.seed)
+    opt = Adam(ref.params, cfg)
+    semantics = {t: ds.table(t).matrix(labels) for t in "AB"}
+    order_rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        order = order_rng.permutation(9)
+        for start in range(0, 9, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            batch = {t: semantics[t][idx] for t in "AB"}
+            opt.step(ref.loss_and_grad(batch, visual.values[idx], ("A", "B"))[1].flat)
+    assert model.params.flat.tobytes() == ref.params.flat.tobytes()
+    assert len(history) == 3
+
+
 def test_lr_schedule_is_exact_power():
     ds = tiny_dataset()
     cfg = TrainConfig(lr=0.01, lr_decay=0.9, epochs=6, seed=0)
