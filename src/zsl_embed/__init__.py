@@ -12,7 +12,6 @@ from zsl_embed.data import (
     FeatureMatrix,
     SemanticTable,
     class_prototypes,
-    l2_normalize_rows,
     load_dataset,
     load_feature_matrix,
     load_semantic_table,
@@ -31,7 +30,6 @@ from zsl_embed.evaluation import (
     emit_report,
     evaluate,
     hubness_skewness,
-    read_report_csv,
 )
 from zsl_embed.metric import (
     MetricKind,
@@ -92,7 +90,6 @@ __all__ = [
     "gradient_check",
     "hubness_skewness",
     "init_model",
-    "l2_normalize_rows",
     "load_checkpoint",
     "load_dataset",
     "load_feature_matrix",
@@ -101,7 +98,6 @@ __all__ = [
     "make_dataset",
     "metric_distance",
     "pairwise_distances",
-    "read_report_csv",
     "save_checkpoint",
     "save_dataset",
     "save_feature_matrix",

@@ -9,13 +9,16 @@ verification of the analytic gradients).
 Settings come from an optional flat ``key = value`` config file with
 section prefixes (``net.head_out``, ``train.lr``, ``synth.n_classes``,
 ``metric.eta``, ``ablate.directions``); command-line flags override file
-values. Unknown keys are rejected. The ``ZSL_EMBED_LOG`` environment
-variable (error, info, debug) controls log verbosity.
+values. The ``net``, ``train`` and ``synth`` keys are the fields of
+``NetConfig``, ``TrainConfig`` and ``SynthConfig`` that have defaults.
+Unknown keys are rejected. The ``ZSL_EMBED_LOG`` environment variable
+(error, info, debug) controls log verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -23,55 +26,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import load_dataset, save_dataset
-from .evaluation import (
-    REPORT_HEADER,
-    ablate,
-    all_subsets,
-    emit_report,
-    evaluate,
-)
+from .data import Dataset, load_dataset, save_dataset
+from .evaluation import AblationCell, ablate, all_subsets, emit_report, evaluate
 from .metric import METRIC_KINDS, MetricKind, metric_distance
 from .network import DIRECTIONS, NetConfig, gradient_check
 from .synthetic import ModalitySpec, SynthConfig, generate
-from .training import (
-    OPTIMIZERS,
-    TrainConfig,
-    load_checkpoint,
-    save_checkpoint,
-    save_history,
-    train,
-)
+from .training import TrainConfig, load_checkpoint, save_checkpoint, save_history, train
 
 log = logging.getLogger("zsl_embed")
 
 GRADCHECK_TOLERANCE = 1e-6
 
-_NET_KEYS = {"head_hidden", "head_out", "embed_dim", "direction", "l2_lambda"}
-_TRAIN_KEYS = {
-    "optimizer",
-    "lr",
-    "momentum",
-    "beta1",
-    "beta2",
-    "epsilon",
-    "batch_size",
-    "epochs",
-    "lr_decay",
-    "l2_lambda",
-    "seed",
-    "shuffle",
-}
-_SYNTH_KEYS = {
-    "n_classes",
-    "n_seen",
-    "samples_per_class",
-    "latent_dim",
-    "embed_dim",
-    "visual_noise_sigma",
-    "seed",
-    "modalities",
-}
 _METRIC_KEYS = {"kind", "eta"}
 _ABLATE_KEYS = {"subsets", "directions", "metrics"}
 
@@ -104,11 +69,16 @@ def read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
+def _config_keys(cls) -> set[str]:
+    """A config dataclass's fields that a file may set: those with a default."""
+    return {f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+
+
 def _check_keys(path: str, entries: dict[str, str]) -> None:
     known = {
-        "net": _NET_KEYS,
-        "train": _TRAIN_KEYS,
-        "synth": _SYNTH_KEYS,
+        "net": _config_keys(NetConfig),
+        "train": _config_keys(TrainConfig),
+        "synth": _config_keys(SynthConfig),
         "metric": _METRIC_KEYS,
         "ablate": _ABLATE_KEYS,
     }
@@ -132,68 +102,6 @@ def _parse_value(key: str, value: str, kind):
         raise ValueError(f"config key {key}: invalid value {value!r}") from None
 
 
-_TRAIN_FIELD_TYPES = {
-    "optimizer": str,
-    "lr": float,
-    "momentum": float,
-    "beta1": float,
-    "beta2": float,
-    "epsilon": float,
-    "batch_size": int,
-    "epochs": int,
-    "lr_decay": float,
-    "l2_lambda": float,
-    "seed": int,
-    "shuffle": bool,
-}
-
-
-def train_config_from(entries: dict[str, str], seed: int | None) -> TrainConfig:
-    kw = {}
-    for key, value in entries.items():
-        section, _, field = key.partition(".")
-        if section != "train":
-            continue
-        kw[field] = _parse_value(key, value, _TRAIN_FIELD_TYPES[field])
-    if seed is not None:
-        kw["seed"] = seed
-    return TrainConfig(**kw)
-
-
-def net_config_from(
-    entries: dict[str, str],
-    modality_dims: dict[str, int],
-    visual_dim: int,
-    direction: str | None,
-) -> NetConfig:
-    kw = {
-        "modality_dims": modality_dims,
-        "embed_dim": visual_dim,
-        "head_hidden": 512,
-        "head_out": 1024,
-    }
-    for key, value in entries.items():
-        section, _, field = key.partition(".")
-        if section != "net":
-            continue
-        if field == "embed_dim":
-            declared = _parse_value(key, value, int)
-            if declared != visual_dim:
-                raise ValueError(
-                    f"net.embed_dim {declared} does not match "
-                    f"dataset visual dim {visual_dim}"
-                )
-        elif field == "direction":
-            kw["direction"] = value
-        elif field == "l2_lambda":
-            kw["l2_lambda"] = _parse_value(key, value, float)
-        else:
-            kw[field] = _parse_value(key, value, int)
-    if direction is not None:
-        kw["direction"] = direction
-    return NetConfig(**kw)
-
-
 def _parse_modality_specs(value: str) -> tuple[ModalitySpec, ...]:
     """Parse ``TAG:dim[:fraction[:sigma]]`` items separated by commas."""
     specs = []
@@ -211,28 +119,40 @@ def _parse_modality_specs(value: str) -> tuple[ModalitySpec, ...]:
     return tuple(specs)
 
 
-def synth_config_from(entries: dict[str, str], seed: int | None) -> SynthConfig:
-    field_types = {
-        "n_classes": int,
-        "n_seen": int,
-        "samples_per_class": int,
-        "latent_dim": int,
-        "embed_dim": int,
-        "visual_noise_sigma": float,
-        "seed": int,
-    }
+def _config_from(cls, section: str, entries: dict[str, str], **given):
+    """Build ``cls`` from the ``section.field`` entries, then the given values that are not None.
+
+    Each value parses as the type of its field's default; ``synth.modalities``
+    as ``TAG:dim[:fraction[:sigma]]`` items.
+    """
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     kw = {}
     for key, value in entries.items():
-        section, _, field = key.partition(".")
-        if section != "synth":
+        prefix, _, field = key.partition(".")
+        if prefix != section:
             continue
-        if field == "modalities":
-            kw["modalities"] = _parse_modality_specs(value)
+        if key == "synth.modalities":
+            kw[field] = _parse_modality_specs(value)
         else:
-            kw[field] = _parse_value(key, value, field_types[field])
-    if seed is not None:
-        kw["seed"] = seed
-    return SynthConfig(**kw)
+            kw[field] = _parse_value(key, value, type(defaults[field]))
+    kw.update((field, value) for field, value in given.items() if value is not None)
+    return cls(**kw)
+
+
+def _net_config(
+    entries: dict[str, str], dataset: Dataset, tags: tuple[str, ...] | None, direction: str | None
+) -> NetConfig:
+    """The net config for ``tags`` of the dataset; ``net.embed_dim`` must match its visual dim."""
+    visual_dim = dataset.visual.dim
+    config = _config_from(
+        NetConfig, "net", {"net.embed_dim": str(visual_dim), **entries},
+        modality_dims=dataset.modality_dims(tags), direction=direction,
+    )
+    if config.embed_dim != visual_dim:
+        raise ValueError(
+            f"net.embed_dim {config.embed_dim} does not match dataset visual dim {visual_dim}"
+        )
+    return config
 
 
 def metric_from(entries: dict[str, str], kind: str | None, eta: float | None) -> MetricKind:
@@ -258,7 +178,7 @@ def _parse_tags(value: str) -> tuple[str, ...]:
 
 def _cmd_synth(args) -> int:
     entries = read_config_file(args.config) if args.config else {}
-    config = synth_config_from(entries, args.seed)
+    config = _config_from(SynthConfig, "synth", entries, seed=args.seed)
     dataset = generate(config)
     save_dataset(dataset, args.out)
     log.info("generated dataset with seed %d", config.seed)
@@ -273,10 +193,8 @@ def _cmd_train(args) -> int:
     entries = read_config_file(args.config) if args.config else {}
     dataset = load_dataset(args.data)
     tags = _parse_tags(args.modalities) if args.modalities else dataset.modality_tags
-    net_config = net_config_from(
-        entries, dataset.modality_dims(tags), dataset.visual.dim, args.direction
-    )
-    train_config = train_config_from(entries, args.seed)
+    net_config = _net_config(entries, dataset, tags, args.direction)
+    train_config = _config_from(TrainConfig, "train", entries, seed=args.seed)
     log.info(
         "training %s on %d samples, %d epochs", "+".join(tags),
         dataset.visual.rows, train_config.epochs,
@@ -296,7 +214,9 @@ def _cmd_eval(args) -> int:
     entries = read_config_file(args.config) if args.config else {}
     dataset = load_dataset(args.data)
     model = load_checkpoint(args.checkpoint)
-    tags = _parse_tags(args.modalities) if args.modalities else model.config.tags
+    tags = model.fusion.check_active(
+        _parse_tags(args.modalities) if args.modalities else model.config.tags
+    )
     metric = metric_from(entries, args.metric, args.eta)
     result = evaluate(model, dataset, metric, tags)
     print(
@@ -305,12 +225,7 @@ def _cmd_eval(args) -> int:
         f"metric {metric.label()}, direction {model.direction})"
     )
     if args.out:
-        lines = [
-            REPORT_HEADER,
-            f"{'+'.join(sorted(tags))},{model.direction},{metric.label()},"
-            f"{repr(float(result.top1))},{repr(float(result.top5))}",
-        ]
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        emit_report([AblationCell(tags, model.direction, metric, result)], "csv", args.out)
     return 0
 
 
@@ -332,9 +247,9 @@ def _cmd_ablate(args) -> int:
     elif "ablate.metrics" in entries:
         metrics = tuple(MetricKind.from_label(m.strip()) for m in entries["ablate.metrics"].split(","))
     else:
-        metrics = (MetricKind.ec(args.eta if args.eta is not None else 0.9), MetricKind.euclidean())
-    net_config = net_config_from(entries, dataset.modality_dims(), dataset.visual.dim, None)
-    train_config = train_config_from(entries, args.seed)
+        metrics = (metric_from(entries, "ec", args.eta), MetricKind.euclidean())
+    net_config = _net_config(entries, dataset, None, None)
+    train_config = _config_from(TrainConfig, "train", entries, seed=args.seed)
     log.info(
         "ablation grid: %d subsets x %d directions x %d metrics, %d jobs",
         len(subsets), len(directions), len(metrics), args.jobs,

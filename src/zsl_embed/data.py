@@ -8,8 +8,7 @@ File formats:
 * binary feature file: magic ``ZSLF``, u32 LE version (=1), u64 LE rows,
   u64 LE dim, ``rows`` u64 LE class ids, then rows*dim float32 LE values
   in row-major order;
-* CSV feature file: no header, one ``label,v1,...,vD`` line per sample;
-* semantic table file: same layouts with one row per class;
+* semantic table file: the same layout with one row per class;
 * split file: two text lines, ``seen: 0 1 ...`` and ``unseen: 144 ...``.
 """
 
@@ -18,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -218,13 +217,6 @@ class Dataset:
         tags = self.modality_tags if tags is None else tuple(tags)
         return {tag: self.table(tag).dim for tag in tags}
 
-    def semantic_batch(
-        self, tags: Iterable[ModalityTag], class_ids: Iterable[ClassId]
-    ) -> dict[str, np.ndarray]:
-        """Per-modality matrices with one row per requested class id."""
-        ids = list(class_ids)
-        return {tag: self.table(tag).matrix(ids) for tag in tags}
-
 
 def make_dataset(
     visual: FeatureMatrix,
@@ -247,133 +239,71 @@ def class_prototypes(features: FeatureMatrix, modality: ModalityTag = "avg") -> 
     return SemanticTable(modality, vectors)
 
 
-def l2_normalize_rows(m: FeatureMatrix) -> FeatureMatrix:
-    """Scale each row to unit L2 norm; zero rows pass through unchanged."""
-    norms = np.linalg.norm(m.values, axis=1, keepdims=True)
-    scaled = np.divide(m.values, norms, out=m.values.copy(), where=norms > 0)
-    return FeatureMatrix(scaled, m.labels)
-
-
 # ---------------------------------------------------------------------------
 # file formats
 
 
-def save_feature_matrix(m: FeatureMatrix, path: str | Path, format: str = "binary") -> None:
-    """Write a feature matrix in the binary or CSV layout.
+def save_feature_matrix(m: FeatureMatrix, path: str | Path) -> None:
+    """Write a feature matrix in the binary layout.
 
-    The binary layout stores values as float32; values that would overflow
-    float32 are rejected rather than silently saturated.
+    Values are stored as float32; values that would overflow float32 are
+    rejected rather than silently saturated.
     """
-    path = Path(path)
-    if format == "binary":
-        with np.errstate(over="ignore"):
-            payload = m.values.astype("<f4")
-        bad = ~np.isfinite(payload).all(axis=1)
-        if bad.any():
-            raise ValueError(
-                f"value overflows float32 at row {int(np.flatnonzero(bad)[0])}"
-            )
-        buf = bytearray()
-        buf += _FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, m.rows, m.dim)
-        buf += m.labels.astype("<u8").tobytes()
-        buf += payload.tobytes()
-        path.write_bytes(bytes(buf))
-    elif format == "csv":
-        lines = []
-        for label, row in zip(m.labels, m.values):
-            lines.append(f"{int(label)}," + ",".join(repr(float(v)) for v in row))
-        path.write_text("\n".join(lines) + "\n")
-    else:
-        raise ValueError(f"unknown format {format!r}, expected 'binary' or 'csv'")
+    with np.errstate(over="ignore"):
+        payload = m.values.astype("<f4")
+    bad = ~np.isfinite(payload).all(axis=1)
+    if bad.any():
+        raise ValueError(f"value overflows float32 at row {int(np.flatnonzero(bad)[0])}")
+    buf = bytearray()
+    buf += _FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, m.rows, m.dim)
+    buf += m.labels.astype("<u8").tobytes()
+    buf += payload.tobytes()
+    Path(path).write_bytes(buf)
 
 
-def load_feature_matrix(path: str | Path, format: str = "binary") -> FeatureMatrix:
-    """Read a feature matrix, rejecting malformed or non-finite content."""
-    path = Path(path)
-    if format == "binary":
-        return _load_binary(path.read_bytes(), str(path))
-    if format == "csv":
-        return _load_csv(path.read_text(), str(path))
-    raise ValueError(f"unknown format {format!r}, expected 'binary' or 'csv'")
+def load_feature_matrix(path: str | Path) -> FeatureMatrix:
+    """Read a binary feature matrix, rejecting malformed or non-finite content.
 
-
-def _load_binary(data: bytes, name: str) -> FeatureMatrix:
+    The header's row and dimension counts must match the file size before
+    any array is built.
+    """
+    data = Path(path).read_bytes()
     if len(data) < _FEATURE_HEADER.size:
-        raise ValueError(f"{name}: malformed header (file too short)")
+        raise ValueError(f"{path}: malformed header (file too short)")
     magic, version, rows, dim = _FEATURE_HEADER.unpack_from(data)
     if magic != FEATURE_MAGIC:
-        raise ValueError(f"{name}: malformed header (bad magic {magic!r})")
+        raise ValueError(f"{path}: malformed header (bad magic {magic!r})")
     if version != FEATURE_VERSION:
-        raise ValueError(f"{name}: unsupported version {version}")
-    if dim == 0:
-        raise ValueError(f"{name}: malformed header (zero dimension)")
+        raise ValueError(f"{path}: unsupported version {version}")
+    if not 0 < dim < 2**31:  # numpy cannot shape even an empty matrix much wider
+        raise ValueError(f"{path}: malformed header (dimension {dim})")
     expected = _FEATURE_HEADER.size + rows * 8 + rows * dim * 4
     if len(data) != expected:
         raise ValueError(
-            f"{name}: corrupted payload (expected {expected} bytes, got {len(data)})"
+            f"{path}: corrupted payload (expected {expected} bytes, got {len(data)})"
         )
     off = _FEATURE_HEADER.size
     labels = np.frombuffer(data, dtype="<u8", count=rows, offset=off)
     if labels.size and labels.max() > np.iinfo(np.int64).max:
-        raise ValueError(f"{name}: class id out of range")
+        raise ValueError(f"{path}: class id out of range")
     off += rows * 8
     values = np.frombuffer(data, dtype="<f4", count=rows * dim, offset=off).reshape(rows, dim)
     finite_rows = np.isfinite(values).all(axis=1)
     if not finite_rows.all():
         bad = int(np.flatnonzero(~finite_rows)[0])
-        raise ValueError(f"{name}: non-finite value at row {bad}")
+        raise ValueError(f"{path}: non-finite value at row {bad}")
     return FeatureMatrix(values, labels)  # converted to float64 / int64 copies there
 
 
-def _load_csv(text: str, name: str) -> FeatureMatrix:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError(f"{name}: malformed header (empty file)")
-    labels: list[int] = []
-    rows: list[list[float]] = []
-    dim = None
-    for i, line in enumerate(lines):
-        parts = line.split(",")
-        if len(parts) < 2:
-            raise ValueError(f"{name}: malformed row {i} (need label and values)")
-        try:
-            label = int(parts[0])
-        except ValueError:
-            raise ValueError(f"{name}: malformed label at row {i}: {parts[0]!r}") from None
-        try:
-            row = [float(p) for p in parts[1:]]
-        except ValueError:
-            raise ValueError(f"{name}: malformed value at row {i}") from None
-        if dim is None:
-            dim = len(row)
-        elif len(row) != dim:
-            raise ValueError(
-                f"{name}: dimension mismatch at row {i} (expected {dim}, got {len(row)})"
-            )
-        labels.append(label)
-        rows.append(row)
-    values = np.asarray(rows, dtype=np.float64)
-    finite_rows = np.isfinite(values).all(axis=1)
-    if not finite_rows.all():
-        bad = int(np.flatnonzero(~finite_rows)[0])
-        raise ValueError(f"{name}: non-finite value at row {bad}")
-    if any(l < 0 for l in labels):
-        raise ValueError(f"{name}: negative class label")
-    return FeatureMatrix(values, np.asarray(labels, dtype=np.int64))
-
-
-def save_semantic_table(table: SemanticTable, path: str | Path, format: str = "binary") -> None:
+def save_semantic_table(table: SemanticTable, path: str | Path) -> None:
     """Write a semantic table as a feature file with one row per class."""
     ids = table.class_ids()
-    m = FeatureMatrix(table.matrix(ids), np.asarray(ids, dtype=np.int64))
-    save_feature_matrix(m, path, format)
+    save_feature_matrix(FeatureMatrix(table.matrix(ids), np.asarray(ids, dtype=np.int64)), path)
 
 
-def load_semantic_table(
-    path: str | Path, modality: ModalityTag, format: str = "binary"
-) -> SemanticTable:
+def load_semantic_table(path: str | Path, modality: ModalityTag) -> SemanticTable:
     """Read a per-class semantic table; duplicate class rows are rejected."""
-    m = load_feature_matrix(path, format)
+    m = load_feature_matrix(path)
     vectors: dict[ClassId, np.ndarray] = {}
     for label, row in zip(m.labels, m.values):
         cls = int(label)

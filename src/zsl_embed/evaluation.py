@@ -305,25 +305,3 @@ def emit_report(cells: Sequence[AblationCell], format: str, path: str | Path) ->
         path.write_text("\n".join(lines) + "\n")
     else:
         raise ValueError(f"unknown report format {format!r}, expected 'csv' or 'markdown'")
-
-
-def read_report_csv(path: str | Path) -> list[dict]:
-    """Parse a CSV report back into row dicts (inverse of the csv format)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != REPORT_HEADER:
-        raise ValueError(f"{path}: malformed report header")
-    rows = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        modalities, direction, metric, top1, top5 = line.split(",")
-        rows.append(
-            {
-                "modalities": tuple(modalities.split("+")),
-                "direction": direction,
-                "metric": MetricKind.from_label(metric),
-                "top1": float(top1),
-                "top5": float(top5),
-            }
-        )
-    return rows

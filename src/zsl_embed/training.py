@@ -37,8 +37,7 @@ class TrainConfig:
     """Optimizer choice and loop settings.
 
     ``optimizer`` is ``adam`` or ``sgd`` (SGD with momentum; momentum 0
-    gives plain SGD). ``l2_lambda`` set to None inherits the weight
-    penalty from the architecture config; a number overrides it.
+    gives plain SGD). The weight penalty is ``NetConfig.l2_lambda``.
     """
 
     optimizer: str = "adam"
@@ -50,7 +49,6 @@ class TrainConfig:
     batch_size: int = 256
     epochs: int = 200
     lr_decay: float = 1.0
-    l2_lambda: float | None = None
     seed: int = 0
     shuffle: bool = True
 
@@ -71,8 +69,6 @@ class TrainConfig:
             raise ValueError("epochs must be non-negative")
         if not 0 < self.lr_decay <= 1:
             raise ValueError("lr_decay must be in (0, 1]")
-        if self.l2_lambda is not None and self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be >= 0")
 
 
 @dataclasses.dataclass
@@ -172,6 +168,8 @@ def train(
 
     The same seed drives both initialization and shuffling, so the run is
     fully deterministic. Returns the trained model and per-epoch history.
+    Raises ValueError naming the epoch and batch if a batch loss is not
+    finite, as when too large a learning rate makes training diverge.
     """
     tags = tuple(sorted(set(active)))
     if not tags:
@@ -181,8 +179,6 @@ def train(
             f"embed_dim {net_config.embed_dim} does not match "
             f"visual feature dim {dataset.visual.dim}"
         )
-    if train_config.l2_lambda is not None:
-        net_config = dataclasses.replace(net_config, l2_lambda=train_config.l2_lambda)
     model = init_model(net_config, train_config.seed)
     history = TrainHistory()
     if train_config.epochs == 0:
@@ -207,6 +203,11 @@ def train(
             rows = positions[idx]
             batch = {tag: semantics[tag][rows] for tag in tags}
             loss, grads = model.loss_and_grad(batch, targets[idx], tags)
+            if not math.isfinite(loss):
+                raise ValueError(
+                    f"training diverged: loss {loss} at epoch {epoch}, "
+                    f"batch {start // train_config.batch_size}"
+                )
             optimizer.step(grads.flat)
             total += loss * idx.size
         history.losses.append(total / n)
@@ -252,16 +253,25 @@ def _decode_config(blob: bytes) -> NetConfig:
 
 
 def _records(params: ParamBuffer):
-    """Each parameter's record header (name and shape) and array, in file order."""
+    """Each parameter's name, record header (name and shape) and array, in file order."""
     for name in sorted(params):
         arr = params[name]
         encoded = name.encode("utf-8")
         header = struct.pack(f"<H{len(encoded)}sB{arr.ndim}Q", len(encoded), encoded, arr.ndim, *arr.shape)
-        yield header, arr
+        yield name, header, arr
+
+
+def _check_finite(path: str | Path, name: str, arr: np.ndarray) -> None:
+    """One parameter array at a time, so no model-sized temporary is allocated."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: parameter {name} is not finite")
 
 
 def save_checkpoint(model: EmbeddingModel, path: str | Path) -> None:
-    """Serialize config and parameters; identical models produce identical bytes."""
+    """Serialize config and parameters; identical models produce identical bytes.
+
+    Raises ValueError naming the parameter if any value is not finite.
+    """
     buf = bytearray()
     buf += CHECKPOINT_MAGIC
     buf += struct.pack("<I", CHECKPOINT_VERSION)
@@ -269,18 +279,20 @@ def save_checkpoint(model: EmbeddingModel, path: str | Path) -> None:
     buf += struct.pack("<I", len(config_blob))
     buf += config_blob
     buf += struct.pack("<I", len(model.params))
-    for header, arr in _records(model.params):
+    for name, header, arr in _records(model.params):
+        _check_finite(path, name, arr)
         buf += header
         buf += arr.astype("<f8", copy=False).tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
-    Path(path).write_bytes(bytes(buf))
+    buf += struct.pack("<I", zlib.crc32(buf))
+    Path(path).write_bytes(buf)
 
 
 def load_checkpoint(path: str | Path) -> EmbeddingModel:
     """Read a checkpoint back into a model, verifying the trailing checksum.
 
     The config block fixes every parameter's name and shape, so each
-    record header must match the one ``save_checkpoint`` would write.
+    record header must match the one ``save_checkpoint`` would write, and
+    every parameter value must be finite.
     """
     data = Path(path).read_bytes()
     if len(data) < 8 or data[:4] != CHECKPOINT_MAGIC:
@@ -311,11 +323,12 @@ def load_checkpoint(path: str | Path) -> EmbeddingModel:
     if take(off, 4) != struct.pack("<I", len(model.params)):
         raise ValueError(f"{path}: corrupted payload (parameter set mismatch)")
     off += 4
-    for header, arr in _records(model.params):
+    for name, header, arr in _records(model.params):
         if take(off, len(header)) != header:
             raise ValueError(f"{path}: corrupted payload (parameter set mismatch)")
         off += len(header)
         arr[...] = np.frombuffer(take(off, arr.nbytes), dtype="<f8").reshape(arr.shape)
+        _check_finite(path, name, arr)
         off += arr.nbytes
     if off != len(body):
         raise ValueError(f"{path}: corrupted payload (trailing bytes)")

@@ -1,10 +1,14 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from zsl_embed.cli import dispatch, read_config_file
+from zsl_embed.cli import _config_from, dispatch, read_config_file
 from zsl_embed.evaluation import REPORT_HEADER
-from zsl_embed.network import V_TO_S
-from zsl_embed.training import load_checkpoint
+from zsl_embed.network import NetConfig, V_TO_S
+from zsl_embed.synthetic import SynthConfig
+from zsl_embed.training import TrainConfig, load_checkpoint
 
 PIPELINE_CFG = """\
 # small instance so the whole pipeline runs in seconds
@@ -114,6 +118,55 @@ def test_config_comments_and_blanks(tmp_path):
     p = tmp_path / "ok.cfg"
     p.write_text("\n# comment only\ntrain.lr = 0.5  # trailing comment\n\n")
     assert read_config_file(str(p)) == {"train.lr": "0.5"}
+
+
+def config_text(value) -> str:
+    """A config value as a file writes it; ``synth.modalities`` in full ``TAG:dim:fraction:sigma`` form."""
+    if isinstance(value, tuple):
+        return ",".join(f"{m.tag}:{m.dim}:{m.information_fraction!r}:{m.noise_sigma!r}" for m in value)
+    return str(value)
+
+
+@pytest.mark.parametrize(
+    "cls, section, given",
+    [(NetConfig, "net", {"modality_dims": {"A": 5}}), (TrainConfig, "train", {}), (SynthConfig, "synth", {})],
+)
+def test_every_config_field_is_a_key_and_its_default_parses_back(cls, section, given, tmp_path):
+    fields = [f for f in dataclasses.fields(cls) if f.name not in given]
+    p = tmp_path / "defaults.cfg"
+    p.write_text("".join(f"{section}.{f.name} = {config_text(f.default)}\n" for f in fields))
+    entries = read_config_file(str(p))
+    assert len(entries) == len(fields)
+    assert _config_from(cls, section, entries, **given) == cls(**given)
+
+
+@pytest.mark.parametrize("line", ["train.l2_lambda = 0.1", "net.modality_dims = A:3"])
+def test_config_rejects_keys_that_are_not_settable_fields(line, tmp_path):
+    p = tmp_path / "bad.cfg"
+    p.write_text(line + "\n")
+    with pytest.raises(ValueError, match=f"unknown config key: {line.split(' ')[0]}"):
+        read_config_file(str(p))
+
+
+def test_config_given_values_override_the_file(tmp_path):
+    p = tmp_path / "seed.cfg"
+    p.write_text("train.seed = 3\ntrain.epochs = 7\n")
+    entries = read_config_file(str(p))
+    assert _config_from(TrainConfig, "train", entries, seed=None) == TrainConfig(seed=3, epochs=7)
+    assert _config_from(TrainConfig, "train", entries, seed=9) == TrainConfig(seed=9, epochs=7)
+
+
+def test_readme_config_example_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("Config files are flat", 1)[1].split("```")[1]
+    p = tmp_path / "readme.cfg"
+    p.write_text(example)
+    entries = read_config_file(str(p))
+    assert {key.partition(".")[0] for key in entries} >= {"synth", "net", "train"}
+    synth = _config_from(SynthConfig, "synth", entries)
+    net = _config_from(NetConfig, "net", entries, modality_dims={m.tag: m.dim for m in synth.modalities})
+    train = _config_from(TrainConfig, "train", entries)
+    assert (synth.n_classes, net.head_out, train.epochs) == (24, 48, 200)
 
 
 def test_net_embed_dim_mismatch(cfg_path, tmp_path, capsys):
@@ -232,6 +285,28 @@ def test_eval_modality_subset_flag(cfg_path, tmp_path, capsys):
     assert dispatch(["eval", "--checkpoint", str(ckpt), "--data", str(data),
                      "--modalities", "A"]) == 0
     assert "top1 " in capsys.readouterr().out
+
+
+def test_ablate_default_metrics_use_config_eta(tmp_path, capsys):
+    cfg = tmp_path / "eta.cfg"
+    cfg.write_text(PIPELINE_CFG.replace("ablate.metrics = ec:0.9\n", "metric.eta = 0.5\n"))
+    data, grid = tmp_path / "data", tmp_path / "grid.csv"
+    assert dispatch(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+    assert dispatch(["ablate", "--config", str(cfg), "--data", str(data), "--out", str(grid)]) == 0
+    capsys.readouterr()
+    metrics = {line.split(",")[2] for line in grid.read_text().splitlines()[1:]}
+    assert metrics == {"ec:0.5", "euclidean"}
+
+
+def test_eval_out_row_names_the_evaluated_modalities(cfg_path, tmp_path, capsys):
+    cfg = str(cfg_path)
+    data, ckpt, out = tmp_path / "data", tmp_path / "m.ckpt", tmp_path / "e.csv"
+    assert dispatch(["synth", "--config", cfg, "--out", str(data)]) == 0
+    assert dispatch(["train", "--config", cfg, "--data", str(data), "--out", str(ckpt)]) == 0
+    assert dispatch(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--modalities", "A,A", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text().splitlines()[1].startswith("A,s2v,ec:0.9,")
 
 
 def test_log_env_values(monkeypatch, capsys):

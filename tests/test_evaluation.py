@@ -17,7 +17,6 @@ from zsl_embed.evaluation import (
     evaluate,
     hubness_skewness,
     prediction_distances,
-    read_report_csv,
 )
 from zsl_embed.metric import MetricKind
 from zsl_embed.network import NetConfig, S_TO_V, V_TO_S, init_model
@@ -438,11 +437,6 @@ def test_emit_report_csv(tmp_path):
         "C+W,s2v,ec:0.9,0.521,0.857\n"
         "W,s2v,euclidean,0.25,0.5\n"
     )
-    rows = read_report_csv(p)
-    assert rows[0]["modalities"] == ("C", "W")
-    assert rows[0]["metric"] == MetricKind.ec(0.9)
-    assert rows[0]["top1"] == 0.521
-    assert rows[1]["direction"] == S_TO_V
 
 
 def test_emit_report_markdown(tmp_path):
@@ -475,13 +469,6 @@ def test_emit_report_errors(tmp_path):
     cell = fake_cell(("W",), S_TO_V, MetricKind.ec(0.9), 0.5, 0.5)
     with pytest.raises(ValueError, match="unknown report format"):
         emit_report([cell], "yaml", tmp_path / "r.yaml")
-
-
-def test_read_report_rejects_bad_header(tmp_path):
-    p = tmp_path / "r.csv"
-    p.write_text("something,else\n")
-    with pytest.raises(ValueError, match="malformed report header"):
-        read_report_csv(p)
 
 
 def test_report_deterministic_bytes(tmp_path):

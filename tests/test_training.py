@@ -1,9 +1,15 @@
+import functools
 import math
 import struct
+import tempfile
+import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zsl_embed.data import FeatureMatrix, SemanticTable, make_dataset
 from zsl_embed.network import NetConfig, ParamBuffer, S_TO_V, V_TO_S, init_model
@@ -317,11 +323,14 @@ def test_loss_halves_on_default_synthetic_instance():
     assert history.losses[-1] < 0.5 * history.losses[0]
 
 
-def test_train_config_lambda_overrides_net_lambda():
-    ds = tiny_dataset()
-    cfg = TrainConfig(epochs=1, l2_lambda=0.123, seed=0)
-    model, _ = train(ds, tiny_net(), cfg, ("A",))
-    assert model.config.l2_lambda == 0.123
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_train_raises_on_non_finite_loss():
+    # SGD at lr=5 overflows the loss to inf in epoch 0 while every parameter stays finite
+    ds = generate(SynthConfig(seed=1))
+    net = NetConfig(modality_dims=ds.modality_dims(), head_hidden=32, head_out=48, embed_dim=64)
+    cfg = TrainConfig(optimizer="sgd", lr=5.0, batch_size=64, epochs=5, seed=1)
+    with pytest.raises(ValueError, match=r"training diverged: loss inf at epoch 0, batch \d+"):
+        train(ds, net, cfg, ds.modality_tags)
 
 
 def test_train_empty_training_set():
@@ -442,3 +451,90 @@ def test_checkpoint_with_valid_crc_but_wrong_layout(tmp_path, edit, message):
     p.write_bytes(resealed(edited))
     with pytest.raises(ValueError, match=message):
         load_checkpoint(p)
+
+
+def test_save_checkpoint_rejects_non_finite_parameter(tmp_path):
+    model = trained_model()
+    model.params["head.B.W2"][1, 2] = np.nan
+    p = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match="parameter head.B.W2 is not finite"):
+        save_checkpoint(model, p)
+    assert not p.exists()
+
+
+def test_load_checkpoint_rejects_non_finite_parameter(tmp_path):
+    model = trained_model()
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(model, p)
+    body = p.read_bytes()[:-4]
+    # the last 8 body bytes are the last entry of the last parameter in file order
+    p.write_bytes(resealed(body[:-8] + struct.pack("<d", np.inf)))
+    with pytest.raises(ValueError, match=f"parameter {sorted(model.params)[-1]} is not finite"):
+        load_checkpoint(p)
+
+
+@functools.lru_cache(maxsize=1)
+def checkpoint_bytes() -> tuple[bytes, dict[str, bytes]]:
+    """A small trained checkpoint and each parameter's stored bytes."""
+    model = trained_model()
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "m.ckpt"
+        save_checkpoint(model, p)
+        data = p.read_bytes()
+    return data, {name: arr.astype("<f8").tobytes() for name, arr in model.params.items()}
+
+
+# config text before a width, and the width, that a mutation may make huge
+WIDTHS = {b"head_hidden = ": b"4", b"head_out = ": b"3", b"embed_dim = ": b"4", b"A:": b"3"}
+
+# truncate (no reseal), flip up to three bits (no reseal), or reseal after giving
+# the config a huge layer or modality width, or a parameter a non-finite value
+CHECKPOINT_MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("flip"), st.lists(st.integers(0, 10**7), min_size=1, max_size=3)),
+    st.tuples(st.just("huge"), st.sampled_from(sorted(WIDTHS)), st.integers(2**16, 2**63)),
+    st.tuples(st.just("value"), st.integers(0, 10**6), st.sampled_from([np.nan, np.inf, -np.inf])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CHECKPOINT_MUTATIONS)
+def test_checkpoint_reader_fuzz(mutation):
+    """Every damaged checkpoint is rejected with ValueError, without a large allocation.
+
+    A CRC32 catches any flip of up to three bits in a file this small (its
+    Hamming distance is 4 up to 91607 bits), so unsealed flips never load.
+    """
+    data, stored = checkpoint_bytes()
+    body = data[:-4]
+    kind, *args = mutation
+    match = None
+    if kind == "truncate":
+        mutated = data[: args[0] % len(data)]
+    elif kind == "flip":
+        out = bytearray(data)
+        for bit in {b % (8 * len(data)) for b in args[0]}:  # distinct bits: no flip undoes another
+            out[bit // 8] ^= 1 << (bit % 8)
+        mutated = bytes(out)
+    elif kind == "huge":
+        prefix, width = args
+        mutated = resealed(with_config(body, prefix + WIDTHS[prefix], prefix + str(width).encode()))
+    else:
+        index, value = args
+        name = sorted(stored)[index % len(stored)]
+        raw = stored[name]
+        off = body.find(raw) + 8 * (index % (len(raw) // 8))
+        mutated = resealed(body[:off] + struct.pack("<d", value) + body[off + 8 :])
+        match = f"parameter {name} is not finite"
+    assert mutated != data
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "m.ckpt"
+        p.write_bytes(mutated)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=match):
+                load_checkpoint(p)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    assert peak < 256 * 1024
