@@ -214,7 +214,7 @@ def _cmd_eval(args) -> int:
     entries = read_config_file(args.config) if args.config else {}
     dataset = load_dataset(args.data)
     model = load_checkpoint(args.checkpoint)
-    tags = model.fusion.check_active(
+    tags = model.config.check_active(
         _parse_tags(args.modalities) if args.modalities else model.config.tags
     )
     metric = metric_from(entries, args.metric, args.eta)

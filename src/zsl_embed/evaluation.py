@@ -56,7 +56,7 @@ def embed_class_prototypes(
     active: Iterable[str],
 ) -> np.ndarray:
     """One prototype row per class, in ascending class-id order."""
-    tags = model.fusion.check_active(active)
+    tags = model.config.check_active(active)
     ids = sorted(int(c) for c in classes)
     if not ids:
         raise ValueError("no classes to embed")
@@ -76,7 +76,7 @@ def _scoring_inputs(
     Raises ValueError naming the class or the test row if any of them is
     not finite, as a diverged model's would be.
     """
-    tags = model.fusion.check_active(active)
+    tags = model.config.check_active(active)
     ids = sorted(dataset.unseen)
     prototypes = embed_class_prototypes(model, dataset.semantics, ids, tags)
     if model.direction == S_TO_V:
@@ -116,17 +116,12 @@ def evaluate(
     dataset: Dataset,
     metric: MetricKind,
     active: Iterable[str],
-    direction: str | None = None,
 ) -> EvalResult:
     """Score the model on the dataset's unseen classes.
 
-    Raises ValueError if a query, a prototype or a distance is not finite.
+    Raises ValueError if ``active`` names a modality the model has no
+    head for, or if a query, a prototype or a distance is not finite.
     """
-    if direction is not None and direction != model.direction:
-        raise ValueError(
-            f"requested direction {direction!r} but the model was built for "
-            f"{model.direction!r}"
-        )
     if dataset.test_visual.rows == 0:
         raise ValueError("no test samples")
     queries, prototypes, ids = _scoring_inputs(model, dataset, active)

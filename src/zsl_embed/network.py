@@ -10,9 +10,11 @@ Two directions are supported:
 
 * ``s2v`` — semantic vectors are embedded into the visual space and
   compared with visual features there;
-* ``v2s`` — an additional three-layer branch maps visual features into
-  the fused-semantic space, trained jointly with the heads against the
-  fused vectors.
+* ``v2s`` — a three-layer branch maps visual features into the
+  fused-semantic space, trained jointly with the heads against the fused
+  vectors; a v2s model has no shared layer.
+
+A model holds only the heads of the modalities it is trained on.
 
 Every branch is a ``ReluStack`` of dense-ReLU layers with one hand-derived
 backward pass (no autodiff); the ReLU subgradient at exactly 0 is taken
@@ -70,18 +72,29 @@ class NetConfig:
     def tags(self) -> tuple[str, ...]:
         return tuple(self.modality_dims)
 
+    def check_active(self, active: Iterable[str]) -> tuple[str, ...]:
+        """Canonical (sorted, deduplicated) active tags; must be configured."""
+        tags = tuple(sorted(set(active)))
+        if not tags:
+            raise ValueError("active modality set is empty")
+        unknown = [t for t in tags if t not in self.modality_dims]
+        if unknown:
+            raise ValueError(f"unknown modalities: {unknown}")
+        return tags
+
 
 def _stacks(config: NetConfig) -> dict[str, list[tuple[str, str, tuple[int, int]]]]:
     """Each stack's layers as (weight name, bias name, weight shape), in buffer order.
 
-    Heads map modality dim -> head_hidden -> head_out, the shared layer
+    Heads map modality dim -> head_hidden -> head_out, the s2v shared layer
     head_out -> embed_dim, and the v2s visual map embed_dim -> head_out ->
     head_hidden -> head_out. Weights are (out, in) matrices.
     """
     h, o, e = config.head_hidden, config.head_out, config.embed_dim
     widths = {f"head.{tag}": (1, (dim, h, o)) for tag, dim in config.modality_dims.items()}
-    widths["out"] = (3, (o, e))
-    if config.direction == V_TO_S:
+    if config.direction == S_TO_V:
+        widths["out"] = (3, (o, e))
+    else:
         widths["vmap"] = (1, (e, o, h, o))
     return {
         prefix: [
@@ -105,19 +118,15 @@ class ParamBuffer(dict):
 
     ``flat`` holds the values of every shape given, in order and zero at
     first; writing through a view writes ``flat`` and the other way round.
-    ``names`` limits which arrays the mapping exposes: a gradient names
-    only the trained parameters, and the rest of its ``flat`` stays zero.
     """
 
-    def __init__(self, shapes: Mapping[str, tuple[int, ...]], names: Iterable[str] | None = None):
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]]):
         super().__init__()
         sizes = [math.prod(shape) for shape in shapes.values()]
         self.flat = np.zeros(sum(sizes))
-        exposed = set(shapes) if names is None else set(names)
         start = 0
         for (name, shape), size in zip(shapes.items(), sizes):
-            if name in exposed:
-                self[name] = self.flat[start : start + size].reshape(shape)
+            self[name] = self.flat[start : start + size].reshape(shape)
             start += size
 
 
@@ -174,26 +183,15 @@ class ReluStack:
 
 
 class FusionNet:
-    """Per-modality two-layer heads, elementwise sum, shared output layer."""
+    """Per-modality two-layer heads, elementwise sum and, for s2v, the shared output layer."""
 
     def __init__(self, config: NetConfig, params: Mapping[str, np.ndarray]):
         self.config = config
         stacks = _stacks(config)
         self.heads = {tag: ReluStack(params, stacks[f"head.{tag}"]) for tag in config.tags}
-        self.out = ReluStack(params, stacks["out"])
-        self.params = {
-            name: p for stack in (*self.heads.values(), self.out) for name, p in stack.params.items()
-        }
-
-    def check_active(self, active: Iterable[str]) -> tuple[str, ...]:
-        """Canonical (sorted, deduplicated) active tags; must be configured."""
-        tags = tuple(sorted(set(active)))
-        if not tags:
-            raise ValueError("active modality set is empty")
-        unknown = [t for t in tags if t not in self.config.modality_dims]
-        if unknown:
-            raise ValueError(f"unknown modalities: {unknown}")
-        return tags
+        self.out = ReluStack(params, stacks["out"]) if "out" in stacks else None
+        held = [*self.heads.values(), *([self.out] if self.out else [])]
+        self.params = {name: p for stack in held for name, p in stack.params.items()}
 
     def fuse(
         self, inputs: Mapping[str, np.ndarray], tags: tuple[str, ...]
@@ -216,13 +214,15 @@ class FusionNet:
     def forward(self, inputs: Mapping[str, np.ndarray], active: Iterable[str]):
         """Embedded and fused outputs for the active modalities.
 
-        Inputs may be single vectors or batch matrices (one row per
-        sample); the outputs match. Modalities are summed in sorted tag
-        order, so permuting ``active`` cannot change the result.
+        The embedding is the shared layer's output for s2v and the fused
+        sum itself for v2s, which has no shared layer. Inputs may be single
+        vectors or batch matrices (one row per sample); the outputs match.
+        Modalities are summed in sorted tag order, so permuting ``active``
+        cannot change the result.
         """
-        tags = self.check_active(active)
+        tags = self.config.check_active(active)
         fused, _ = self.fuse(inputs, tags)
-        embedded, _ = self.out.forward(fused)
+        embedded = fused if self.out is None else self.out.forward(fused)[0]
         if all(np.asarray(inputs[t]).ndim == 1 for t in tags):
             return embedded[0], fused[0]
         return embedded, fused
@@ -231,8 +231,10 @@ class FusionNet:
 class EmbeddingModel:
     """Fusion branch plus, for direction ``v2s``, the visual mapping branch.
 
-    ``params`` holds every parameter, zero until set (``init_model`` draws
-    them); ``fusion.params`` and ``visual_map.params`` are views into it.
+    ``params`` holds every parameter of the configured heads and of the
+    shared layer (s2v) or the visual map (v2s), zero until set
+    (``init_model`` draws them); ``fusion.params`` and
+    ``visual_map.params`` are views into it.
     """
 
     def __init__(self, config: NetConfig):
@@ -246,26 +248,9 @@ class EmbeddingModel:
     def direction(self) -> str:
         return self.config.direction
 
-    def _trained(self, tags: tuple[str, ...]) -> list[ReluStack]:
-        """Stacks updated when training on ``tags``: the shared layer (s2v)
-        or the visual map (v2s) first, then the heads in tag order."""
-        top = self.fusion.out if self.direction == S_TO_V else self.visual_map
-        return [top, *(self.fusion.heads[t] for t in tags)]
-
-    def trainable_params(self, active: Iterable[str]) -> dict[str, np.ndarray]:
-        """Live references to the parameters updated when training on ``active``.
-
-        Inactive heads take no part in the forward pass, the loss, or the
-        gradients. The shared output layer is trained only in ``s2v``; the
-        visual map only in ``v2s``.
-        """
-        stacks = self._trained(self.fusion.check_active(active))
-        return {name: p for stack in stacks for name, p in stack.params.items()}
-
     def embed(self, inputs: Mapping[str, np.ndarray], active: Iterable[str]) -> np.ndarray:
         """Class-prototype coordinates: embedded for s2v, fused for v2s."""
-        embedded, fused = self.fusion.forward(inputs, active)
-        return embedded if self.direction == S_TO_V else fused
+        return self.fusion.forward(inputs, active)[0]
 
     def map_visual(self, x) -> np.ndarray:
         if self.visual_map is None:
@@ -281,9 +266,10 @@ class EmbeddingModel:
         return self._forward(inputs, targets, active)[0]
 
     def _forward(self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str]):
-        """The loss and what the backward pass needs: the trained stacks, the
-        heads' caches, the top stack's cache, the residual and the batch size."""
-        tags = self.fusion.check_active(active)
+        """The loss and what the backward pass needs: the trained stacks (the
+        top stack, then the active heads in tag order), the heads' caches, the
+        top stack's cache, the residual and the batch size."""
+        tags = self.config.check_active(active)
         x = np.asarray(targets, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(f"targets must be a batch matrix, got shape {x.shape}")
@@ -299,13 +285,14 @@ class EmbeddingModel:
             if batch[t].shape[0] != m:
                 raise ValueError(f"modality {t}: {batch[t].shape[0]} rows for {m} targets")
 
-        trained = self._trained(tags)
+        top = self.fusion.out if self.direction == S_TO_V else self.visual_map
+        trained = [top, *(self.fusion.heads[t] for t in tags)]
         fused, head_caches = self.fusion.fuse(batch, tags)
         if self.direction == S_TO_V:
-            embedded, acts = trained[0].forward(fused)
+            embedded, acts = top.forward(fused)
             residual = embedded - x
         else:
-            mapped, acts = trained[0].forward(x)
+            mapped, acts = top.forward(x)
             residual = mapped - fused
         reg = 0.0
         for stack in trained:
@@ -320,18 +307,15 @@ class EmbeddingModel:
     ) -> tuple[float, ParamBuffer]:
         """Mean squared error plus L2 weight penalty, with analytic gradients.
 
-        ``targets`` holds one visual feature row per sample. The L2 term
-        covers the weight matrices (not biases) of the parameters being
-        trained, so the returned gradients are exact partials of the
-        returned loss. The gradients are a new buffer laid out like
-        ``params`` that names only the trained parameters; the entries of
-        the others are zero.
+        ``targets`` holds one visual feature row per sample; ``active`` is
+        any non-empty subset of the model's heads. The L2 term covers the
+        weight matrices (not biases) of the stacks being trained, so the
+        returned gradients are exact partials of the returned loss. The
+        gradients are a new buffer laid out like ``params``; the entries
+        of heads outside ``active`` are zero.
         """
         loss, trained, head_caches, acts, residual, m = self._forward(inputs, targets, active)
-        grads = ParamBuffer(
-            {name: p.shape for name, p in self.params.items()},
-            names=[name for stack in trained for name in stack.params],
-        )
+        grads = ParamBuffer({name: p.shape for name, p in self.params.items()})
         top = trained[0]
         if self.direction == S_TO_V:
             d_fused = top.backward(acts, (2.0 / m) * residual, grads, input_grad=True)
@@ -349,18 +333,31 @@ class EmbeddingModel:
         return loss, grads
 
 
-def init_model(config: NetConfig, seed: int) -> EmbeddingModel:
-    """Deterministically initialized model; same (config, seed) -> same weights.
+def _drawn_layers(config: NetConfig):
+    """Every layer ``init_model`` draws for ``config``, in draw order: the
+    heads, the shared layer, then for v2s the visual map."""
+    drawn = {**_stacks(dataclasses.replace(config, direction=S_TO_V)), **_stacks(config)}
+    return [layer for layers in drawn.values() for layer in layers]
 
-    Weights are uniform Glorot-style, biases zero; the draws go layer by
-    layer in buffer order.
+
+def init_model(config: NetConfig, seed: int, tags: Iterable[str] | None = None) -> EmbeddingModel:
+    """Deterministically initialized model holding the heads of ``tags``.
+
+    ``tags`` defaults to every configured modality; the model's config
+    names only those. Weights are uniform Glorot-style, biases zero. Every
+    layer of ``config`` is drawn, including the heads left out and a v2s
+    net's shared layer, which are dropped, so an array has the same values
+    whichever heads the model holds.
     """
+    held = config.check_active(config.tags if tags is None else tags)
+    dims = {t: config.modality_dims[t] for t in held}
+    model = EmbeddingModel(dataclasses.replace(config, modality_dims=dims))
     rng = np.random.default_rng(seed)
-    model = EmbeddingModel(config)
-    for layers in _stacks(config).values():
-        for w, _, (out_dim, in_dim) in layers:
-            scale = np.sqrt(6.0 / (in_dim + out_dim))
-            model.params[w][...] = rng.uniform(-scale, scale, size=(out_dim, in_dim))
+    for w, _, (out_dim, in_dim) in _drawn_layers(config):
+        scale = np.sqrt(6.0 / (in_dim + out_dim))
+        draw = rng.uniform(-scale, scale, size=(out_dim, in_dim))
+        if w in model.params:
+            model.params[w][...] = draw
     return model
 
 
@@ -375,9 +372,9 @@ def numerical_gradients(
     active: Iterable[str],
     step: float = 1e-5,
 ) -> dict[str, np.ndarray]:
-    """Central finite differences of the training loss, for verification."""
+    """Central finite differences of the training loss over every parameter, for verification."""
     grads: dict[str, np.ndarray] = {}
-    for name, param in model.trainable_params(active).items():
+    for name, param in model.params.items():
         g = grads[name] = np.zeros_like(param)
         for i in np.ndindex(param.shape):
             orig = param[i]
@@ -433,8 +430,12 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
                 l2_lambda=float(rng.uniform(0.0, 1e-3)),
             )
             model = init_model(config, seed=int(rng.integers(0, 2**31)))
-            flat = model.params.flat
-            flat += rng.uniform(-0.3, 0.3, size=flat.size)
+            # jitter drawn for every array init_model draws, in its order, held or not
+            for w, b, shape in _drawn_layers(config):
+                for name, size in ((w, shape), (b, shape[:1])):
+                    jitter = rng.uniform(-0.3, 0.3, size=size)
+                    if name in model.params:
+                        model.params[name] += jitter
             m = int(rng.integers(1, 5))
             inputs = {t: rng.normal(size=(m, dims[t])) for t in subset}
             targets = rng.uniform(0.0, 1.0, size=(m, config.embed_dim))

@@ -27,9 +27,13 @@ from .data import Dataset
 from .network import EmbeddingModel, NetConfig, ParamBuffer, init_model, param_shapes
 
 CHECKPOINT_MAGIC = b"ZSLC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 OPTIMIZERS = ("adam", "sgd")
+
+# a batch loss this many times the first batch's stops training as diverged; Adam
+# runs of the synthetic ablation grid stay below 1.1 times
+DIVERGENCE_RATIO = 1e3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,11 +97,7 @@ def _blocks(*vectors: np.ndarray):
 
 
 class Adam:
-    """Adam with bias correction over a whole flat parameter vector.
-
-    Entries whose gradient is always zero (parameters not being trained)
-    keep zero moments and so an update of exactly zero.
-    """
+    """Adam with bias correction over a whole flat parameter vector."""
 
     def __init__(self, params: ParamBuffer, config: TrainConfig):
         self.params = params
@@ -166,20 +166,21 @@ def train(
 ) -> tuple[EmbeddingModel, TrainHistory]:
     """Train an embedding model on the dataset's seen classes.
 
+    The model holds the heads of ``active`` and the shared layer (s2v) or
+    the visual map (v2s), as ``init_model`` draws them for ``net_config``.
     The same seed drives both initialization and shuffling, so the run is
     fully deterministic. Returns the trained model and per-epoch history.
     Raises ValueError naming the epoch and batch if a batch loss is not
-    finite, as when too large a learning rate makes training diverge.
+    finite or more than ``DIVERGENCE_RATIO`` times the first batch's, as
+    when too large a learning rate makes training diverge.
     """
-    tags = tuple(sorted(set(active)))
-    if not tags:
-        raise ValueError("active modality set is empty")
+    tags = net_config.check_active(active)
     if net_config.embed_dim != dataset.visual.dim:
         raise ValueError(
             f"embed_dim {net_config.embed_dim} does not match "
             f"visual feature dim {dataset.visual.dim}"
         )
-    model = init_model(net_config, train_config.seed)
+    model = init_model(net_config, train_config.seed, tags)
     history = TrainHistory()
     if train_config.epochs == 0:
         return model, history
@@ -194,6 +195,7 @@ def train(
 
     optimizer = (Adam if train_config.optimizer == "adam" else SgdMomentum)(model.params, train_config)
     rng = np.random.default_rng(train_config.seed)
+    first = None
     for epoch in range(train_config.epochs):
         optimizer.lr = train_config.lr * train_config.lr_decay**epoch
         order = rng.permutation(n) if train_config.shuffle else np.arange(n)
@@ -203,10 +205,11 @@ def train(
             rows = positions[idx]
             batch = {tag: semantics[tag][rows] for tag in tags}
             loss, grads = model.loss_and_grad(batch, targets[idx], tags)
-            if not math.isfinite(loss):
+            first = loss if first is None else first
+            if not math.isfinite(loss) or loss > DIVERGENCE_RATIO * first:
                 raise ValueError(
                     f"training diverged: loss {loss} at epoch {epoch}, "
-                    f"batch {start // train_config.batch_size}"
+                    f"batch {start // train_config.batch_size} (first batch: {first})"
                 )
             optimizer.step(grads.flat)
             total += loss * idx.size

@@ -20,7 +20,8 @@ from zsl_embed.evaluation import (
 )
 from zsl_embed.metric import MetricKind
 from zsl_embed.network import NetConfig, S_TO_V, V_TO_S, init_model
-from zsl_embed.training import TrainConfig
+from zsl_embed.synthetic import SynthConfig, generate
+from zsl_embed.training import TrainConfig, train
 
 
 def build_dataset(n_seen=3, n_unseen=6, per_class=4, dim=6, sem_dim=4, seed=0,
@@ -179,13 +180,18 @@ def test_evaluate_row_order_invariance():
     assert a.confusion.tolist() == b.confusion.tolist()
 
 
-def test_evaluate_direction_guard():
-    ds = build_dataset()
-    model = build_model(ds)
-    with pytest.raises(ValueError, match="direction"):
-        evaluate(model, ds, MetricKind.ec(0.9), ("A",), direction=V_TO_S)
-    result = evaluate(model, ds, MetricKind.ec(0.9), ("A",), direction=S_TO_V)
-    assert 0.0 <= result.top1 <= result.top5 <= 1.0
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+def test_evaluate_rejects_modalities_the_model_was_not_trained_on(direction):
+    # a W-only model has no C, I or T head to score all four tags with
+    ds = generate(SynthConfig(seed=1))
+    net = NetConfig(modality_dims=ds.modality_dims(), head_hidden=32, head_out=48,
+                    embed_dim=ds.visual.dim, direction=direction)
+    cfg = TrainConfig(lr=3e-3, batch_size=64, epochs=200, seed=1)
+    model, _ = train(ds, net, cfg, ("W",))
+    assert model.config.tags == ("W",)
+    assert 0.0 <= evaluate(model, ds, MetricKind.ec(0.9), ("W",)).top1 <= 1.0
+    with pytest.raises(ValueError, match=r"unknown modalities: \['C', 'I', 'T'\]"):
+        evaluate(model, ds, MetricKind.ec(0.9), ("C", "I", "T", "W"))
 
 
 def test_evaluate_visual_to_semantic_direction():

@@ -27,9 +27,9 @@ def toy_config(direction=S_TO_V, **kw):
 
 
 def finite_difference(model, inputs, targets, active, step=1e-5):
-    """Independent central-difference loop over every trainable entry."""
+    """Independent central-difference loop over every parameter entry."""
     grads = {}
-    for name, param in model.trainable_params(active).items():
+    for name, param in model.params.items():
         g = np.zeros_like(param)
         it = np.nditer(param, flags=["multi_index"])
         while not it.finished:
@@ -74,6 +74,28 @@ def test_init_deterministic_and_seed_sensitive():
     for name in a.params:
         np.testing.assert_array_equal(a.params[name], b.params[name])
     assert not np.array_equal(a.params["head.A.W1"], c.params["head.A.W1"])
+
+
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+@pytest.mark.parametrize("tags", [("A",), ("B",), ("A", "B")])
+def test_init_draws_every_configured_layer_in_order(direction, tags):
+    # heads in tag order, the shared layer, then the visual map; held or not
+    model = init_model(toy_config(direction), seed=3, tags=tags)
+    layers = [("head.A.W1", 4, 3), ("head.A.W2", 3, 4), ("head.B.W1", 4, 2), ("head.B.W2", 3, 4),
+              ("out.W3", 5, 3)]
+    if direction == V_TO_S:
+        layers += [("vmap.W1", 3, 5), ("vmap.W2", 4, 3), ("vmap.W3", 3, 4)]
+    rng = np.random.default_rng(3)
+    drawn = {}
+    for name, n_out, n_in in layers:
+        bound = math.sqrt(6.0 / (n_in + n_out))
+        drawn[name] = rng.uniform(-bound, bound, size=(n_out, n_in))
+    assert model.config.tags == tags
+    for name, p in model.params.items():
+        if name.rsplit(".", 1)[1].startswith("W"):
+            assert p.tobytes() == drawn[name].tobytes(), name
+        else:
+            assert not p.any(), name
 
 
 def test_init_glorot_bound():
@@ -205,7 +227,7 @@ def test_loss_lower_bounded_by_regularizer():
     loss = model.loss(inputs, targets, ("A", "B"))
     reg = sum(
         float(np.sum(p * p))
-        for name, p in model.trainable_params(("A", "B")).items()
+        for name, p in model.params.items()
         if name.rsplit(".", 1)[-1].startswith("W")
     )
     assert loss >= 1e-3 * reg
@@ -249,14 +271,18 @@ def test_loss_errors():
 
 
 def test_trainable_params_by_direction():
-    m_sv = init_model(toy_config(), seed=0)
-    names_sv = set(m_sv.trainable_params(("A",)))
-    assert names_sv == {"head.A.W1", "head.A.b1", "head.A.W2", "head.A.b2",
-                        "out.W3", "out.b3"}
-    m_vs = init_model(toy_config(direction=V_TO_S), seed=0)
-    names_vs = set(m_vs.trainable_params(("A",)))
-    assert "out.W3" not in names_vs
-    assert {"vmap.W1", "vmap.W2", "vmap.W3"} <= names_vs
+    # a model holds its heads and the stack its direction trains: out for s2v, vmap for v2s
+    head_a = {"head.A.W1", "head.A.b1", "head.A.W2", "head.A.b2"}
+    m_sv = init_model(toy_config(), seed=0, tags=("A",))
+    assert set(m_sv.params) == head_a | {"out.W3", "out.b3"}
+    m_vs = init_model(toy_config(direction=V_TO_S), seed=0, tags=("A",))
+    assert set(m_vs.params) == head_a | {f"vmap.{p}{k}" for k in (1, 2, 3) for p in "Wb"}
+    assert m_vs.fusion.out is None
+    for model in (m_sv, m_vs):
+        with pytest.raises(ValueError, match=r"unknown modalities: \['B'\]"):
+            model.loss({"A": np.ones((1, 3)), "B": np.ones((1, 2))}, np.ones((1, 5)), ("A", "B"))
+    with pytest.raises(ValueError, match="unknown modalities"):
+        init_model(toy_config(), seed=0, tags=("A", "Z"))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +337,8 @@ def test_gradients_only_cover_active_heads():
     inputs = {"A": rng.normal(size=(2, 3))}
     targets = rng.uniform(0, 1, size=(2, 5))
     _, grads = model.loss_and_grad(inputs, targets, ("A",))
-    assert all(not name.startswith("head.B.") for name in grads)
+    assert set(grads) == set(model.params)
+    assert all(not g.any() for name, g in grads.items() if name.startswith("head.B."))
 
 
 def test_max_relative_error_mismatched_bundles():
@@ -342,9 +369,9 @@ def test_gradient_buffer_is_zero_outside_trained_parameters():
     rng = np.random.default_rng(2)
     _, grads = model.loss_and_grad({"B": rng.normal(size=(2, 2))},
                                    rng.uniform(0, 1, size=(2, 5)), ("B",))
-    assert set(grads) == set(model.trainable_params(("B",)))
+    assert set(grads) == set(model.params)
     assert grads.flat.shape == model.params.flat.shape
-    # the named views do not overlap, so every nonzero entry lies inside one
-    named = sum(int(np.count_nonzero(g)) for g in grads.values())
-    assert named > 0
-    assert np.count_nonzero(grads.flat) == named
+    # the named views do not overlap, so every nonzero entry lies inside a trained one
+    trained = sum(int(np.count_nonzero(g)) for name, g in grads.items() if not name.startswith("head.A."))
+    assert trained > 0
+    assert np.count_nonzero(grads.flat) == trained

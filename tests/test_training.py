@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import struct
@@ -260,20 +261,39 @@ def test_train_seed_changes_result():
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
 def test_untrained_parameters_stay_bitwise_equal(direction, optimizer):
+    """``train`` on one head equals stepping a model that holds both heads
+    with that head's gradients: bitwise, and with the other head as drawn."""
+    ds = tiny_dataset()
     net = tiny_net(direction)
     cfg = TrainConfig(optimizer=optimizer, lr=1e-2, batch_size=3, epochs=4, seed=6)
-    model, _ = train(tiny_dataset(), net, cfg, ("A",))
-    fresh = init_model(net, seed=6)
-    frozen = ["head.B.W1", "head.B.b1", "head.B.W2", "head.B.b2"]
-    if direction == V_TO_S:
-        frozen += ["out.W3", "out.b3"]
-    for name in frozen:
-        assert model.params[name].tobytes() == fresh.params[name].tobytes(), name
-    trained = set(model.params) - set(frozen)
-    assert trained == set(model.trainable_params(("A",)))
-    for name in trained:
+    model, history = train(ds, net, cfg, ("A",))
+    top = {"out.W3", "out.b3"} if direction == S_TO_V else {f"vmap.{p}{k}" for k in (1, 2, 3) for p in "Wb"}
+    assert model.config.tags == ("A",)
+    assert set(model.params) == {f"head.A.{p}{k}" for k in (1, 2) for p in "Wb"} | top
+
+    ref = init_model(net, cfg.seed)
+    fresh = init_model(net, cfg.seed)
+    opt = (Adam if optimizer == "adam" else SgdMomentum)(ref.params, cfg)
+    semantics = ds.table("A").matrix(ds.visual.labels)
+    n = ds.visual.rows
+    order_rng = np.random.default_rng(cfg.seed)
+    losses = []
+    for _ in range(cfg.epochs):
+        order = order_rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            loss, grads = ref.loss_and_grad({"A": semantics[idx]}, ds.visual.values[idx], ("A",))
+            opt.step(grads.flat)
+            total += loss * idx.size
+        losses.append(total / n)
+    assert history.losses == losses
+    for name, p in model.params.items():
+        assert p.tobytes() == ref.params[name].tobytes(), name
         if name.rsplit(".", 1)[1].startswith("W"):
-            assert not np.array_equal(model.params[name], fresh.params[name]), name
+            assert not np.array_equal(p, fresh.params[name]), name
+    for name in ("head.B.W1", "head.B.b1", "head.B.W2", "head.B.b2"):
+        assert ref.params[name].tobytes() == fresh.params[name].tobytes(), name
 
 
 def test_train_matches_per_sample_semantic_rows():
@@ -325,11 +345,23 @@ def test_loss_halves_on_default_synthetic_instance():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_train_raises_on_non_finite_loss():
-    # SGD at lr=5 overflows the loss to inf in epoch 0 while every parameter stays finite
+    # visual features of 1e160 overflow the squared error of the first batch to inf
+    ds = tiny_dataset()
+    ds = dataclasses.replace(ds, visual=FeatureMatrix(ds.visual.values * 1e160, ds.visual.labels))
+    with pytest.raises(ValueError, match=r"training diverged: loss inf at epoch 0, batch \d+"):
+        train(ds, tiny_net(), TrainConfig(epochs=1), ("A", "B"))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("batch_size", [64, 256])
+def test_train_raises_on_loss_blow_up(batch_size):
+    # SGD at lr=5 lifts the second batch's loss 1e9-fold; at batch 256 the loss
+    # then stays finite (up to 2.5e80) and the model scores like a random one
     ds = generate(SynthConfig(seed=1))
     net = NetConfig(modality_dims=ds.modality_dims(), head_hidden=32, head_out=48, embed_dim=64)
-    cfg = TrainConfig(optimizer="sgd", lr=5.0, batch_size=64, epochs=5, seed=1)
-    with pytest.raises(ValueError, match=r"training diverged: loss inf at epoch 0, batch \d+"):
+    cfg = TrainConfig(optimizer="sgd", lr=5.0, batch_size=batch_size, epochs=5, seed=1)
+    message = r"training diverged: loss \S+ at epoch 0, batch 1 \(first batch: [\d.]+\)"
+    with pytest.raises(ValueError, match=message):
         train(ds, net, cfg, ds.modality_tags)
 
 
@@ -383,6 +415,28 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, direction):
         assert back.params[name].tobytes() == arr.tobytes()
     save_checkpoint(back, tmp_path / "m2.ckpt")
     assert (tmp_path / "m2.ckpt").read_bytes() == p.read_bytes()
+
+
+def test_v2s_model_and_checkpoint_hold_no_shared_layer(tmp_path):
+    model = trained_model(V_TO_S)
+    assert model.fusion.out is None
+    assert [name for name in model.params if name.startswith("out.")] == []
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(model, p)
+    assert b"out.W3" not in p.read_bytes()
+    assert set(load_checkpoint(p).params) == set(model.params)
+
+
+def test_checkpoint_version_1_is_rejected(tmp_path):
+    # version 1 files held every configured head and a v2s shared layer
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(trained_model(), p)
+    body = bytearray(p.read_bytes()[:-4])
+    assert body[4:8] == struct.pack("<I", 2)
+    body[4:8] = struct.pack("<I", 1)
+    p.write_bytes(resealed(bytes(body)))
+    with pytest.raises(ValueError, match="unsupported version 1"):
+        load_checkpoint(p)
 
 
 def test_checkpoint_truncated(tmp_path):
