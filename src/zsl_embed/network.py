@@ -19,8 +19,11 @@ A model holds only the heads of the modalities it is trained on.
 Every branch is a ``ReluStack`` of dense-ReLU layers with one hand-derived
 backward pass (no autodiff); the ReLU subgradient at exactly 0 is taken
 as 0. All parameters of a model are views into one contiguous float64
-vector (a ``ParamBuffer``), and gradients come back in a buffer of the
-same layout, so optimizers update the whole model with a few vector ops.
+vector (a ``ParamBuffer``): every weight matrix first, stack by stack,
+then every bias, so the L2 penalty is one dot product over the weights
+(one per stack when only some heads train). Gradients come back in a
+buffer of the same layout, which a training loop passes as ``out=`` to
+every step, and optimizers update the whole model with a few vector ops.
 """
 
 from __future__ import annotations
@@ -34,6 +37,15 @@ import numpy as np
 S_TO_V = "s2v"
 V_TO_S = "v2s"
 DIRECTIONS = (S_TO_V, V_TO_S)
+
+# elements per pass of a whole-buffer update: a block of each vector it touches fits in L2
+_BLOCK = 1 << 15
+
+
+def _blocks(*vectors: np.ndarray):
+    """Matching cache-sized slices of equally long vectors."""
+    for lo in range(0, vectors[0].size, _BLOCK):
+        yield [v[lo : lo + _BLOCK] for v in vectors]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,11 +118,10 @@ def _stacks(config: NetConfig) -> dict[str, list[tuple[str, str, tuple[int, int]
 
 
 def param_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
-    """Every parameter's shape, in the order of the flat parameter buffer."""
-    shapes = {}
-    for w, b, shape in (layer for layers in _stacks(config).values() for layer in layers):
-        shapes[w], shapes[b] = shape, shape[:1]
-    return shapes
+    """Every parameter's shape, in the order of the flat parameter buffer:
+    every weight, stack by stack in ``_stacks`` order, then every bias."""
+    layers = [layer for layers in _stacks(config).values() for layer in layers]
+    return {**{w: shape for w, _, shape in layers}, **{b: shape[:1] for _, b, shape in layers}}
 
 
 class ParamBuffer(dict):
@@ -118,6 +129,8 @@ class ParamBuffer(dict):
 
     ``flat`` holds the values of every shape given, in order and zero at
     first; writing through a view writes ``flat`` and the other way round.
+    A model's buffer follows ``param_shapes``: its weights fill a leading
+    slice of ``flat``, each stack's weights one slice within it.
     """
 
     def __init__(self, shapes: Mapping[str, tuple[int, ...]]):
@@ -155,7 +168,9 @@ class ReluStack:
         """Output for a batch ``x`` and the cache: ``x`` and every layer's output."""
         acts = [x]
         for w, b in self.names:
-            x = np.maximum(x @ self.params[w].T + self.params[b], 0.0)
+            x = x @ self.params[w].T
+            x += self.params[b]
+            np.maximum(x, 0.0, out=x)
             acts.append(x)
         return x, acts
 
@@ -176,7 +191,7 @@ class ReluStack:
             w, b = self.names[k]
             dz = d_out * (acts[k + 1] > 0)
             np.matmul(dz.T, acts[k], out=grads[w])
-            np.sum(dz, axis=0, out=grads[b])
+            np.add.reduce(dz, axis=0, out=grads[b])
             if k or input_grad:
                 d_out = dz @ self.params[w]
         return d_out if input_grad else None
@@ -194,9 +209,12 @@ class FusionNet:
         self.params = {name: p for stack in held for name, p in stack.params.items()}
 
     def fuse(
-        self, inputs: Mapping[str, np.ndarray], tags: tuple[str, ...]
+        self, inputs: Mapping[str, np.ndarray], tags: tuple[str, ...], rows: int | None = None
     ) -> tuple[np.ndarray, list[list[np.ndarray]]]:
-        """Sum of the heads' outputs over ``tags``, and each head's cache."""
+        """Sum of the heads' outputs over ``tags``, and each head's cache.
+
+        Each input must have its modality's dim and, if given, ``rows`` rows.
+        """
         dims = self.config.modality_dims
         fused = None
         caches = []
@@ -206,6 +224,8 @@ class FusionNet:
             y, _ = _as_batch(inputs[tag])
             if y.shape[1] != dims[tag]:
                 raise ValueError(f"modality {tag}: expected dim {dims[tag]}, got {y.shape[1]}")
+            if rows is not None and y.shape[0] != rows:
+                raise ValueError(f"modality {tag}: {y.shape[0]} rows for {rows} targets")
             a, acts = self.heads[tag].forward(y)
             caches.append(acts)
             fused = a if fused is None else fused + a
@@ -243,6 +263,13 @@ class EmbeddingModel:
         self.fusion = FusionNet(config, self.params)
         stacks = _stacks(config)
         self.visual_map = ReluStack(self.params, stacks["vmap"]) if "vmap" in stacks else None
+        self.top = self.fusion.out or self.visual_map
+        # the slice of flat holding each stack's weights (see param_shapes), and all of them
+        self.weight_spans, end = {}, 0
+        for stack in (*self.fusion.heads.values(), self.top):
+            start, end = end, end + sum(self.params[w].size for w, _ in stack.names)
+            self.weight_spans[stack] = slice(start, end)
+        self.weights = slice(0, end)
 
     @property
     def direction(self) -> str:
@@ -268,7 +295,8 @@ class EmbeddingModel:
     def _forward(self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str]):
         """The loss and what the backward pass needs: the trained stacks (the
         top stack, then the active heads in tag order), the heads' caches, the
-        top stack's cache, the residual and the batch size."""
+        top stack's cache, the residual, the batch size and the slices of
+        ``params.flat`` that the penalty covers."""
         tags = self.config.check_active(active)
         x = np.asarray(targets, dtype=np.float64)
         if x.ndim != 2:
@@ -280,30 +308,23 @@ class EmbeddingModel:
             raise ValueError(
                 f"target dim {x.shape[1]} does not match embed_dim {self.config.embed_dim}"
             )
-        batch = {t: _as_batch(inputs[t])[0] for t in tags}
-        for t in tags:
-            if batch[t].shape[0] != m:
-                raise ValueError(f"modality {t}: {batch[t].shape[0]} rows for {m} targets")
-
-        top = self.fusion.out if self.direction == S_TO_V else self.visual_map
+        top = self.top
         trained = [top, *(self.fusion.heads[t] for t in tags)]
-        fused, head_caches = self.fusion.fuse(batch, tags)
+        fused, head_caches = self.fusion.fuse(inputs, tags, m)
         if self.direction == S_TO_V:
             embedded, acts = top.forward(fused)
             residual = embedded - x
         else:
             mapped, acts = top.forward(x)
             residual = mapped - fused
-        reg = 0.0
-        for stack in trained:
-            for w, _ in reversed(stack.names):
-                p = stack.params[w]
-                reg += float(np.sum(p * p))
-        loss = float(np.sum(residual * residual)) / m + self.config.l2_lambda * reg
-        return loss, trained, head_caches, acts, residual, m
+        every = len(trained) == len(self.weight_spans)
+        spans = [self.weights] if every else [self.weight_spans[stack] for stack in trained]
+        reg = sum(float(self.params.flat[s] @ self.params.flat[s]) for s in spans)
+        loss = float(np.add.reduce(residual * residual, axis=None)) / m + self.config.l2_lambda * reg
+        return loss, trained, head_caches, acts, residual, m, spans
 
     def loss_and_grad(
-        self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str]
+        self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str], out: ParamBuffer | None = None
     ) -> tuple[float, ParamBuffer]:
         """Mean squared error plus L2 weight penalty, with analytic gradients.
 
@@ -311,11 +332,16 @@ class EmbeddingModel:
         any non-empty subset of the model's heads. The L2 term covers the
         weight matrices (not biases) of the stacks being trained, so the
         returned gradients are exact partials of the returned loss. The
-        gradients are a new buffer laid out like ``params``; the entries
-        of heads outside ``active`` are zero.
+        gradients are laid out like ``params`` (every weight, then every
+        bias), zero for heads outside ``active``. They are written into
+        and returned in ``out``, a buffer of that layout whose old values
+        do not matter, or else in a new buffer.
         """
-        loss, trained, head_caches, acts, residual, m = self._forward(inputs, targets, active)
-        grads = ParamBuffer({name: p.shape for name, p in self.params.items()})
+        loss, trained, head_caches, acts, residual, m, spans = self._forward(inputs, targets, active)
+        grads = ParamBuffer(param_shapes(self.config)) if out is None else out
+        if out is not None:  # the backward pass overwrites every trained array; zero the rest
+            for name in (n for head in self.fusion.heads.values() if head not in trained for n in head.params):
+                grads[name].fill(0.0)
         top = trained[0]
         if self.direction == S_TO_V:
             d_fused = top.backward(acts, (2.0 / m) * residual, grads, input_grad=True)
@@ -326,10 +352,10 @@ class EmbeddingModel:
             head.backward(head_acts, d_fused, grads)
 
         lam = self.config.l2_lambda
-        if lam != 0.0:
-            for stack in trained:
-                for w, _ in stack.names:
-                    grads[w] += (2.0 * lam) * stack.params[w]
+        if lam != 0.0:  # in blocks, so no weight-sized temporary is allocated
+            for span in spans:
+                for g, w in _blocks(grads.flat[span], self.params.flat[span]):
+                    g += (2.0 * lam) * w
         return loss, grads
 
 

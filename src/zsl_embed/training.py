@@ -10,12 +10,16 @@ Checkpoints are a single binary file: magic ``ZSLC``, u32 LE version,
 a length-prefixed ``key = value`` text block holding the architecture
 config, the parameter arrays (name, shape, float64 LE data), and a
 trailing CRC32 of everything before it. Round-trips are bit-exact.
+Saving and loading stream each array straight between the file and the
+model, updating the CRC32 as they go, so neither holds a copy of the
+file; a loaded model is returned only after its CRC32 has been verified.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -24,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .data import Dataset
-from .network import EmbeddingModel, NetConfig, ParamBuffer, init_model, param_shapes
+from .network import EmbeddingModel, NetConfig, ParamBuffer, _BLOCK, _blocks, init_model, param_shapes
 
 CHECKPOINT_MAGIC = b"ZSLC"
 CHECKPOINT_VERSION = 2
@@ -84,16 +88,6 @@ class TrainHistory:
 
     def __len__(self) -> int:
         return len(self.losses)
-
-
-# elements per optimizer pass: a block of each vector an update touches fits in L2
-_BLOCK = 1 << 15
-
-
-def _blocks(*vectors: np.ndarray):
-    """Matching cache-sized slices of equally long vectors."""
-    for lo in range(0, vectors[0].size, _BLOCK):
-        yield [v[lo : lo + _BLOCK] for v in vectors]
 
 
 class Adam:
@@ -194,6 +188,7 @@ def train(
     semantics = {tag: dataset.table(tag).matrix(classes) for tag in tags}
 
     optimizer = (Adam if train_config.optimizer == "adam" else SgdMomentum)(model.params, train_config)
+    grads = ParamBuffer(param_shapes(model.config))  # every step overwrites it
     rng = np.random.default_rng(train_config.seed)
     first = None
     for epoch in range(train_config.epochs):
@@ -204,7 +199,7 @@ def train(
             idx = order[start : start + train_config.batch_size]
             rows = positions[idx]
             batch = {tag: semantics[tag][rows] for tag in tags}
-            loss, grads = model.loss_and_grad(batch, targets[idx], tags)
+            loss, _ = model.loss_and_grad(batch, targets[idx], tags, out=grads)
             first = loss if first is None else first
             if not math.isfinite(loss) or loss > DIVERGENCE_RATIO * first:
                 raise ValueError(
@@ -265,74 +260,84 @@ def _records(params: ParamBuffer):
 
 
 def _check_finite(path: str | Path, name: str, arr: np.ndarray) -> None:
-    """One parameter array at a time, so no model-sized temporary is allocated."""
-    if not np.isfinite(arr).all():
+    """Two reductions (NaN propagates through both), so no temporary is allocated."""
+    if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
         raise ValueError(f"{path}: parameter {name} is not finite")
 
 
 def save_checkpoint(model: EmbeddingModel, path: str | Path) -> None:
     """Serialize config and parameters; identical models produce identical bytes.
 
-    Raises ValueError naming the parameter if any value is not finite.
+    Each array is written straight from the model, with the CRC32 updated
+    as it goes. Raises ValueError naming the parameter, before the file is
+    opened, if any value is not finite.
     """
-    buf = bytearray()
-    buf += CHECKPOINT_MAGIC
-    buf += struct.pack("<I", CHECKPOINT_VERSION)
-    config_blob = _encode_config(model.config)
-    buf += struct.pack("<I", len(config_blob))
-    buf += config_blob
-    buf += struct.pack("<I", len(model.params))
-    for name, header, arr in _records(model.params):
+    records = list(_records(model.params))
+    for name, _, arr in records:
         _check_finite(path, name, arr)
-        buf += header
-        buf += arr.astype("<f8", copy=False).tobytes()
-    buf += struct.pack("<I", zlib.crc32(buf))
-    Path(path).write_bytes(buf)
+    blob = _encode_config(model.config)
+    chunks = [struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob)), blob]
+    chunks.append(struct.pack("<I", len(records)))
+    chunks += [part for _, header, arr in records for part in (header, arr.astype("<f8", copy=False))]
+    crc = 0
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            crc = zlib.crc32(chunk, crc)
+            fh.write(chunk)
+        fh.write(struct.pack("<I", crc))
 
 
 def load_checkpoint(path: str | Path) -> EmbeddingModel:
     """Read a checkpoint back into a model, verifying the trailing checksum.
 
-    The config block fixes every parameter's name and shape, so each
-    record header must match the one ``save_checkpoint`` would write, and
+    Every length the file gives is checked against its size before
+    anything is read or allocated, and each array is read straight into
+    the model with the CRC32 updated as it goes. The config block fixes
+    every parameter's name and shape, so each record header must match
+    the one ``save_checkpoint`` would write. Once the CRC32 has passed,
     every parameter value must be finite.
     """
-    data = Path(path).read_bytes()
-    if len(data) < 8 or data[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: malformed header")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    if len(data) < 12:
-        raise ValueError(f"{path}: corrupted payload (truncated)")
-    body, stored = memoryview(data)[:-4], struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(body) != stored:
-        raise ValueError(f"{path}: corrupted payload (checksum mismatch)")
+    with open(path, "rb") as fh:
+        head = fh.read(8)
+        if len(head) < 8 or head[:4] != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: malformed header")
+        (version,) = struct.unpack_from("<I", head, 4)
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported version {version}")
+        body = os.fstat(fh.fileno()).st_size - 4  # everything before the trailing CRC32
+        crc = zlib.crc32(head)
 
-    def take(start: int, n: int) -> bytes:
-        if start + n > len(body):
+        def take(n: int, into: np.ndarray | None = None) -> memoryview:
+            """The next ``n`` body bytes, read into ``into`` if given."""
+            nonlocal crc
+            if fh.tell() + n > body:
+                raise ValueError(f"{path}: corrupted payload (truncated)")
+            view = memoryview(bytearray(n) if into is None else into).cast("B")
+            if fh.readinto(view) != n:
+                raise ValueError(f"{path}: corrupted payload (truncated)")
+            crc = zlib.crc32(view, crc)
+            return view
+
+        (config_len,) = struct.unpack("<I", take(4))
+        try:
+            config = _decode_config(bytes(take(config_len)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if 8 * sum(math.prod(shape) for shape in param_shapes(config).values()) > body:
             raise ValueError(f"{path}: corrupted payload (truncated)")
-        return body[start : start + n]
-
-    (config_len,) = struct.unpack("<I", take(8, 4))
-    try:
-        config = _decode_config(bytes(take(12, config_len)))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if 8 * sum(math.prod(shape) for shape in param_shapes(config).values()) > len(body):
-        raise ValueError(f"{path}: corrupted payload (truncated)")
-    model = EmbeddingModel(config)
-    off = 12 + config_len
-    if take(off, 4) != struct.pack("<I", len(model.params)):
-        raise ValueError(f"{path}: corrupted payload (parameter set mismatch)")
-    off += 4
-    for name, header, arr in _records(model.params):
-        if take(off, len(header)) != header:
+        model = EmbeddingModel(config)
+        if take(4) != struct.pack("<I", len(model.params)):
             raise ValueError(f"{path}: corrupted payload (parameter set mismatch)")
-        off += len(header)
-        arr[...] = np.frombuffer(take(off, arr.nbytes), dtype="<f8").reshape(arr.shape)
+        for _, header, arr in _records(model.params):
+            if take(len(header)) != header:
+                raise ValueError(f"{path}: corrupted payload (parameter set mismatch)")
+            take(arr.nbytes, arr)
+        if fh.tell() != body:
+            raise ValueError(f"{path}: corrupted payload (trailing bytes)")
+        if fh.read(4) != struct.pack("<I", crc):
+            raise ValueError(f"{path}: corrupted payload (checksum mismatch)")
+    if not np.little_endian:
+        model.params.flat.byteswap(inplace=True)
+    for name, arr in model.params.items():
         _check_finite(path, name, arr)
-        off += arr.nbytes
-    if off != len(body):
-        raise ValueError(f"{path}: corrupted payload (trailing bytes)")
     return model

@@ -6,10 +6,12 @@ import pytest
 
 from zsl_embed.network import (
     NetConfig,
+    ParamBuffer,
     S_TO_V,
     V_TO_S,
     init_model,
     max_relative_error,
+    param_shapes,
 )
 
 
@@ -375,3 +377,58 @@ def test_gradient_buffer_is_zero_outside_trained_parameters():
     trained = sum(int(np.count_nonzero(g)) for name, g in grads.items() if not name.startswith("head.A."))
     assert trained > 0
     assert np.count_nonzero(grads.flat) == trained
+
+
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+@pytest.mark.parametrize("active", [("A", "B"), ("B",)])
+def test_gradients_into_a_dirty_buffer_equal_a_fresh_call_bitwise(direction, active):
+    rng = np.random.default_rng(21)
+    model = init_model(toy_config(direction=direction, l2_lambda=1e-3), seed=5)
+    jitter(model, rng)
+    inputs = {"A": rng.normal(size=(4, 3)), "B": rng.normal(size=(4, 2))}
+    targets = rng.uniform(0, 1, size=(4, 5))
+    loss, fresh = model.loss_and_grad(inputs, targets, active)
+    out = ParamBuffer(param_shapes(model.config))
+    out.flat[:] = rng.normal(size=out.flat.size)  # left over from an earlier step
+    loss_out, grads = model.loss_and_grad(inputs, targets, active, out=out)
+    assert grads is out
+    assert loss_out.hex() == loss.hex()
+    assert out.flat.tobytes() == fresh.flat.tobytes()
+    if active == ("B",):
+        assert all(not g.any() for name, g in out.items() if name.startswith("head.A."))
+
+
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+def test_param_shapes_put_every_weight_before_every_bias(direction):
+    names = list(param_shapes(toy_config(direction=direction)))
+    kinds = [name.rsplit(".", 1)[1][0] for name in names]
+    n_weights = kinds.count("W")
+    assert kinds == ["W"] * n_weights + ["b"] * (len(names) - n_weights)
+    model = init_model(toy_config(direction=direction), seed=0)
+    assert list(model.params) == names
+    size = sum(model.params[name].size for name in names[:n_weights])
+    for name in names[:n_weights]:  # every weight is a view into the leading span of flat
+        assert np.shares_memory(model.params[name], model.params.flat[:size])
+        assert not np.shares_memory(model.params[name], model.params.flat[size:])
+
+
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+@pytest.mark.parametrize("active", [("A", "B"), ("A",), ("B",)])
+def test_l2_penalty_equals_the_per_array_sum(direction, active):
+    # zero inputs, targets and biases make every activation and the residual exactly
+    # zero, so the loss is the penalty alone
+    lam = 1e-3
+    model = init_model(toy_config(direction=direction, l2_lambda=lam), seed=6)
+    jitter(model, np.random.default_rng(22))
+    for name, p in model.params.items():
+        if name.rsplit(".", 1)[1].startswith("b"):
+            p[...] = 0.0
+    inputs = {"A": np.zeros((3, 3)), "B": np.zeros((3, 2))}
+    trained = ["out." if direction == S_TO_V else "vmap.", *(f"head.{t}." for t in active)]
+    reference = sum(
+        float(np.sum(p * p))
+        for name, p in model.params.items()
+        if name.rsplit(".", 1)[1].startswith("W") and name.startswith(tuple(trained))
+    )
+    loss = model.loss(inputs, np.zeros((3, 5)), active)
+    assert loss == pytest.approx(lam * reference, rel=1e-12, abs=0.0)

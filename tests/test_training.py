@@ -527,6 +527,42 @@ def test_load_checkpoint_rejects_non_finite_parameter(tmp_path):
         load_checkpoint(p)
 
 
+def test_checkpoint_io_streams_without_copying_parameters(tmp_path):
+    # 2,064,064 parameters (16.5 MB); the largest arrays hold 1,000,000 each
+    model = init_model(NetConfig({"A": 1000}, head_hidden=1000, head_out=1000, embed_dim=64), seed=3)
+    assert model.params.flat.size >= 2_000_000
+    p = tmp_path / "m.ckpt"
+    tracemalloc.start()
+    try:
+        save_checkpoint(model, p)
+        saved = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = load_checkpoint(p)
+        loaded = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert saved < 1_000_000
+    assert loaded - back.params.flat.nbytes < 1_000_000
+    assert back.params.flat.tobytes() == model.params.flat.tobytes()
+    assert p.stat().st_size > model.params.flat.nbytes
+
+
+def test_checkpoint_bit_flip_to_non_finite_value_is_a_corrupted_payload(tmp_path):
+    # flipping the top exponent bit of 1.5 gives inf: the CRC32 must catch it first
+    model = trained_model()
+    model.params["head.A.W1"][0, 0] = 1.5
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(model, p)
+    data = bytearray(p.read_bytes())
+    off = data.find(model.params["head.A.W1"].astype("<f8").tobytes())
+    assert off > 0
+    data[off + 7] ^= 0x40
+    assert not math.isfinite(struct.unpack_from("<d", data, off)[0])
+    p.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="corrupted payload"):
+        load_checkpoint(p)
+
+
 @functools.lru_cache(maxsize=1)
 def checkpoint_bytes() -> tuple[bytes, dict[str, bytes]]:
     """A small trained checkpoint and each parameter's stored bytes."""
