@@ -26,7 +26,6 @@ from zsl_embed.evaluation import (
     AblationCell,
     EvalResult,
     ablate,
-    embed_class_prototypes,
     emit_report,
     evaluate,
     hubness_skewness,
@@ -41,7 +40,6 @@ from zsl_embed.metric import (
 )
 from zsl_embed.network import (
     EmbeddingModel,
-    FusionNet,
     NetConfig,
     ParamBuffer,
     ReluStack,
@@ -68,7 +66,6 @@ __all__ = [
     "EmbeddingModel",
     "EvalResult",
     "FeatureMatrix",
-    "FusionNet",
     "MetricKind",
     "ModalitySpec",
     "NetConfig",
@@ -83,7 +80,6 @@ __all__ = [
     "class_prototypes",
     "cosine_sim",
     "ec_distance",
-    "embed_class_prototypes",
     "emit_report",
     "evaluate",
     "generate",

@@ -57,6 +57,7 @@ def read_config_file(path: str) -> dict[str, str]:
     if not p.is_file():
         raise ValueError(f"config not found: {path}")
     entries: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     for lineno, raw in enumerate(p.read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -64,7 +65,11 @@ def read_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key in linenos:
+            raise ValueError(f"{path}:{lineno}: duplicate config key {key}, set on line {linenos[key]}")
+        linenos[key] = lineno
+        entries[key] = value.strip()
     _check_keys(path, entries)
     return entries
 

@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import Dataset, SemanticTable
-from .metric import MetricKind, pairwise_distances, top_k_classes
+from .data import Dataset
+from .metric import MetricKind, check_finite_distances, pairwise_distances, top_k_classes
 from .network import DIRECTIONS, EmbeddingModel, NetConfig, S_TO_V
 from .training import TrainConfig, train
 
@@ -49,25 +49,6 @@ class AblationCell:
     result: EvalResult
 
 
-def embed_class_prototypes(
-    model: EmbeddingModel,
-    semantics: Sequence[SemanticTable],
-    classes: Iterable[int],
-    active: Iterable[str],
-) -> np.ndarray:
-    """One prototype row per class, in ascending class-id order."""
-    tags = model.config.check_active(active)
-    ids = sorted(int(c) for c in classes)
-    if not ids:
-        raise ValueError("no classes to embed")
-    tables = {t.modality: t for t in semantics}
-    missing = [t for t in tags if t not in tables]
-    if missing:
-        raise ValueError(f"no semantic table for modalities {missing}")
-    inputs = {tag: tables[tag].matrix(ids) for tag in tags}
-    return model.embed(inputs, tags)
-
-
 def _scoring_inputs(
     model: EmbeddingModel, dataset: Dataset, active: Iterable[str]
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -78,7 +59,10 @@ def _scoring_inputs(
     """
     tags = model.config.check_active(active)
     ids = sorted(dataset.unseen)
-    prototypes = embed_class_prototypes(model, dataset.semantics, ids, tags)
+    missing = [t for t in tags if t not in dataset.modality_tags]
+    if missing:
+        raise ValueError(f"no semantic table for modalities {missing}")
+    prototypes = model.embed({t: dataset.table(t).matrix(ids) for t in tags}, tags)
     if model.direction == S_TO_V:
         queries = dataset.test_visual.values
         if queries.shape[1] != model.config.embed_dim:
@@ -106,9 +90,16 @@ def prediction_distances(
     metric: MetricKind,
     active: Iterable[str],
 ) -> tuple[np.ndarray, list[int]]:
-    """Distance matrix (test samples x unseen classes) and its class order."""
+    """Distance matrix (test samples x unseen classes) and its class order.
+
+    Raises ValueError naming the first distance that is not finite, as
+    ``evaluate`` does.
+    """
     queries, prototypes, ids = _scoring_inputs(model, dataset, active)
-    return pairwise_distances(queries, prototypes, metric), ids
+    dist = pairwise_distances(queries, prototypes, metric)
+    rows, cols = np.indices(dist.shape)
+    check_finite_distances(dist.ravel(), metric, rows.ravel(), cols.ravel())
+    return dist, ids
 
 
 def evaluate(
@@ -164,6 +155,8 @@ def hubness_skewness(dist_matrix: np.ndarray, k: int) -> float:
         raise ValueError("skewness needs at least 2 classes")
     if not 1 <= k <= n_classes:
         raise ValueError(f"k must be in [1, {n_classes}], got {k}")
+    if not np.isfinite(dist).all():
+        raise ValueError("distance matrix is not finite")
     ranked = np.argsort(dist, axis=1, kind="stable")[:, :k]
     counts = np.bincount(ranked.ravel(), minlength=n_classes).astype(np.float64)
     centered = counts - counts.mean()

@@ -177,6 +177,18 @@ def pairwise_distances(queries, prototypes, metric: MetricKind) -> np.ndarray:
     return out
 
 
+def check_finite_distances(scored: np.ndarray, metric: MetricKind, rows, cols) -> None:
+    """Raise ValueError naming the first entry of ``scored`` that is not
+    finite, the distance between query ``rows[i]`` and prototype ``cols[i]``."""
+    bad = ~np.isfinite(scored)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"non-finite {metric.label()} distance {scored[i]} between "
+            f"query row {rows[i]} and prototype row {cols[i]}"
+        )
+
+
 def _screen(qsq, psq, dots, metric: MetricKind, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Distances from squared norms and BLAS dot products, with error bounds.
 
@@ -235,12 +247,6 @@ def top_k_classes(queries, prototypes, metric: MetricKind, k: int) -> np.ndarray
         for lo in range(0, rows.size, step):
             r, c = rows[lo : lo + step], cols[lo : lo + step]
             scored = _exact(q[r], p[c], qn[r], pn[c], metric)
-            bad = ~np.isfinite(scored)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ValueError(
-                    f"non-finite {metric.label()} distance {scored[i]} between "
-                    f"query row {r[i]} and prototype row {c[i]}"
-                )
+            check_finite_distances(scored, metric, r, c)
             exact[r, c] = scored
     return np.argsort(exact, axis=1, kind="stable")[:, :k]

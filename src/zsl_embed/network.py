@@ -14,16 +14,17 @@ Two directions are supported:
   fused-semantic space, trained jointly with the heads against the fused
   vectors; a v2s model has no shared layer.
 
-A model holds only the heads of the modalities it is trained on.
+A model holds only the heads of the modalities it is trained on, and
+trains all of them. Inputs are batch matrices, one row per sample.
 
 Every branch is a ``ReluStack`` of dense-ReLU layers with one hand-derived
 backward pass (no autodiff); the ReLU subgradient at exactly 0 is taken
 as 0. All parameters of a model are views into one contiguous float64
 vector (a ``ParamBuffer``): every weight matrix first, stack by stack,
-then every bias, so the L2 penalty is one dot product over the weights
-(one per stack when only some heads train). Gradients come back in a
-buffer of the same layout, which a training loop passes as ``out=`` to
-every step, and optimizers update the whole model with a few vector ops.
+then every bias, so the L2 penalty is one dot product over the weights.
+Gradients come back in a buffer of the same layout, which a training
+loop passes as ``out=`` to every step, and optimizers update the whole
+model with a few vector ops.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ class NetConfig:
                 raise ValueError(f"{name} must be positive")
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be >= 0")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise ValueError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
 
     @property
     def tags(self) -> tuple[str, ...]:
@@ -130,7 +131,7 @@ class ParamBuffer(dict):
     ``flat`` holds the values of every shape given, in order and zero at
     first; writing through a view writes ``flat`` and the other way round.
     A model's buffer follows ``param_shapes``: its weights fill a leading
-    slice of ``flat``, each stack's weights one slice within it.
+    slice of ``flat``.
     """
 
     def __init__(self, shapes: Mapping[str, tuple[int, ...]]):
@@ -143,13 +144,11 @@ class ParamBuffer(dict):
             start += size
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
+def _as_batch(x, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    if x.ndim == 2:
-        return x, False
-    raise ValueError(f"expected a vector or a batch matrix, got shape {x.shape}")
+    if x.ndim != 2:
+        raise ValueError(f"{what}: expected a batch matrix, got shape {x.shape}")
+    return x
 
 
 class ReluStack:
@@ -221,7 +220,7 @@ class FusionNet:
         for tag in tags:
             if tag not in inputs:
                 raise ValueError(f"no input provided for modality {tag}")
-            y, _ = _as_batch(inputs[tag])
+            y = _as_batch(inputs[tag], f"modality {tag}")
             if y.shape[1] != dims[tag]:
                 raise ValueError(f"modality {tag}: expected dim {dims[tag]}, got {y.shape[1]}")
             if rows is not None and y.shape[0] != rows:
@@ -231,22 +230,6 @@ class FusionNet:
             fused = a if fused is None else fused + a
         return fused, caches
 
-    def forward(self, inputs: Mapping[str, np.ndarray], active: Iterable[str]):
-        """Embedded and fused outputs for the active modalities.
-
-        The embedding is the shared layer's output for s2v and the fused
-        sum itself for v2s, which has no shared layer. Inputs may be single
-        vectors or batch matrices (one row per sample); the outputs match.
-        Modalities are summed in sorted tag order, so permuting ``active``
-        cannot change the result.
-        """
-        tags = self.config.check_active(active)
-        fused, _ = self.fuse(inputs, tags)
-        embedded = fused if self.out is None else self.out.forward(fused)[0]
-        if all(np.asarray(inputs[t]).ndim == 1 for t in tags):
-            return embedded[0], fused[0]
-        return embedded, fused
-
 
 class EmbeddingModel:
     """Fusion branch plus, for direction ``v2s``, the visual mapping branch.
@@ -254,7 +237,7 @@ class EmbeddingModel:
     ``params`` holds every parameter of the configured heads and of the
     shared layer (s2v) or the visual map (v2s), zero until set
     (``init_model`` draws them); ``fusion.params`` and
-    ``visual_map.params`` are views into it.
+    ``visual_map.params`` are views into it. Training covers all of them.
     """
 
     def __init__(self, config: NetConfig):
@@ -264,43 +247,40 @@ class EmbeddingModel:
         stacks = _stacks(config)
         self.visual_map = ReluStack(self.params, stacks["vmap"]) if "vmap" in stacks else None
         self.top = self.fusion.out or self.visual_map
-        # the slice of flat holding each stack's weights (see param_shapes), and all of them
-        self.weight_spans, end = {}, 0
-        for stack in (*self.fusion.heads.values(), self.top):
-            start, end = end, end + sum(self.params[w].size for w, _ in stack.names)
-            self.weight_spans[stack] = slice(start, end)
-        self.weights = slice(0, end)
+        # the leading slice of flat that holds every weight (see param_shapes)
+        self.weights = slice(0, sum(math.prod(s) for layers in stacks.values() for _, _, s in layers))
 
     @property
     def direction(self) -> str:
         return self.config.direction
 
     def embed(self, inputs: Mapping[str, np.ndarray], active: Iterable[str]) -> np.ndarray:
-        """Class-prototype coordinates: embedded for s2v, fused for v2s."""
-        return self.fusion.forward(inputs, active)[0]
+        """Class-prototype coordinates, one row per input row, from any
+        non-empty subset of the heads: the shared layer's output for s2v, the
+        fused sum itself for v2s. Modalities are summed in sorted tag order,
+        so permuting ``active`` cannot change the result."""
+        fused, _ = self.fusion.fuse(inputs, self.config.check_active(active))
+        return fused if self.fusion.out is None else self.fusion.out.forward(fused)[0]
 
     def map_visual(self, x) -> np.ndarray:
         if self.visual_map is None:
             raise ValueError("model has no visual mapping branch (direction s2v)")
-        batch, single = _as_batch(x)
+        batch = _as_batch(x, "visual features")
         if batch.shape[1] != self.config.embed_dim:
             raise ValueError(f"expected visual dim {self.config.embed_dim}, got {batch.shape[1]}")
-        out, _ = self.visual_map.forward(batch)
-        return out[0] if single else out
+        return self.visual_map.forward(batch)[0]
 
     def loss(self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str]) -> float:
         """The loss of ``loss_and_grad``, from the forward pass alone."""
         return self._forward(inputs, targets, active)[0]
 
     def _forward(self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str]):
-        """The loss and what the backward pass needs: the trained stacks (the
-        top stack, then the active heads in tag order), the heads' caches, the
-        top stack's cache, the residual, the batch size and the slices of
-        ``params.flat`` that the penalty covers."""
+        """The loss and what the backward pass needs: the heads' caches, the
+        top stack's cache, the residual and the batch size."""
         tags = self.config.check_active(active)
-        x = np.asarray(targets, dtype=np.float64)
-        if x.ndim != 2:
-            raise ValueError(f"targets must be a batch matrix, got shape {x.shape}")
+        if tags != self.config.tags:
+            raise ValueError(f"active must name exactly the model's heads {list(self.config.tags)}")
+        x = _as_batch(targets, "targets")
         m = x.shape[0]
         if m == 0:
             raise ValueError("empty batch")
@@ -308,54 +288,43 @@ class EmbeddingModel:
             raise ValueError(
                 f"target dim {x.shape[1]} does not match embed_dim {self.config.embed_dim}"
             )
-        top = self.top
-        trained = [top, *(self.fusion.heads[t] for t in tags)]
         fused, head_caches = self.fusion.fuse(inputs, tags, m)
         if self.direction == S_TO_V:
-            embedded, acts = top.forward(fused)
+            embedded, acts = self.top.forward(fused)
             residual = embedded - x
         else:
-            mapped, acts = top.forward(x)
+            mapped, acts = self.top.forward(x)
             residual = mapped - fused
-        every = len(trained) == len(self.weight_spans)
-        spans = [self.weights] if every else [self.weight_spans[stack] for stack in trained]
-        reg = sum(float(self.params.flat[s] @ self.params.flat[s]) for s in spans)
-        loss = float(np.add.reduce(residual * residual, axis=None)) / m + self.config.l2_lambda * reg
-        return loss, trained, head_caches, acts, residual, m, spans
+        w = self.params.flat[self.weights]
+        mse = float(np.add.reduce(residual * residual, axis=None)) / m
+        return mse + self.config.l2_lambda * float(w @ w), head_caches, acts, residual, m
 
     def loss_and_grad(
         self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str], out: ParamBuffer | None = None
     ) -> tuple[float, ParamBuffer]:
         """Mean squared error plus L2 weight penalty, with analytic gradients.
 
-        ``targets`` holds one visual feature row per sample; ``active`` is
-        any non-empty subset of the model's heads. The L2 term covers the
-        weight matrices (not biases) of the stacks being trained, so the
-        returned gradients are exact partials of the returned loss. The
-        gradients are laid out like ``params`` (every weight, then every
-        bias), zero for heads outside ``active``. They are written into
-        and returned in ``out``, a buffer of that layout whose old values
-        do not matter, or else in a new buffer.
+        ``targets`` holds one visual feature row per sample, and every input
+        one semantic row; ``active`` must name exactly the model's heads.
+        The L2 term covers every weight matrix (not the biases), so the
+        returned gradients are exact partials of the returned loss. They are
+        laid out like ``params`` and written into and returned in ``out``, a
+        buffer of that layout whose old values do not matter, or else a new one.
         """
-        loss, trained, head_caches, acts, residual, m, spans = self._forward(inputs, targets, active)
+        loss, head_caches, acts, residual, m = self._forward(inputs, targets, active)
         grads = ParamBuffer(param_shapes(self.config)) if out is None else out
-        if out is not None:  # the backward pass overwrites every trained array; zero the rest
-            for name in (n for head in self.fusion.heads.values() if head not in trained for n in head.params):
-                grads[name].fill(0.0)
-        top = trained[0]
         if self.direction == S_TO_V:
-            d_fused = top.backward(acts, (2.0 / m) * residual, grads, input_grad=True)
+            d_fused = self.top.backward(acts, (2.0 / m) * residual, grads, input_grad=True)
         else:
-            top.backward(acts, (2.0 / m) * residual, grads)
+            self.top.backward(acts, (2.0 / m) * residual, grads)
             d_fused = (-2.0 / m) * residual
-        for head, head_acts in zip(trained[1:], head_caches):
+        for head, head_acts in zip(self.fusion.heads.values(), head_caches):
             head.backward(head_acts, d_fused, grads)
 
         lam = self.config.l2_lambda
         if lam != 0.0:  # in blocks, so no weight-sized temporary is allocated
-            for span in spans:
-                for g, w in _blocks(grads.flat[span], self.params.flat[span]):
-                    g += (2.0 * lam) * w
+            for g, w in _blocks(grads.flat[self.weights], self.params.flat[self.weights]):
+                g += (2.0 * lam) * w
         return loss, grads
 
 

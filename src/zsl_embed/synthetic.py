@@ -44,8 +44,8 @@ class ModalitySpec:
             raise ValueError(
                 f"modality {self.tag}: information_fraction must be in (0, 1]"
             )
-        if self.noise_sigma < 0:
-            raise ValueError(f"modality {self.tag}: noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"modality {self.tag}: noise_sigma must be finite and >= 0")
 
 
 DEFAULT_MODALITIES = (
@@ -82,8 +82,8 @@ class SynthConfig:
         tags = [m.tag for m in self.modalities]
         if len(set(tags)) != len(tags):
             raise ValueError(f"duplicate modality tags: {sorted(tags)}")
-        if self.visual_noise_sigma < 0:
-            raise ValueError("visual_noise_sigma must be >= 0")
+        if not (math.isfinite(self.visual_noise_sigma) and self.visual_noise_sigma >= 0):
+            raise ValueError("visual_noise_sigma must be finite and >= 0")
 
 
 def _coordinate_subsets(

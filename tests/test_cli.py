@@ -114,6 +114,13 @@ def test_malformed_config_line(tmp_path):
         read_config_file(str(p))
 
 
+def test_duplicate_config_key(tmp_path):
+    p = tmp_path / "dup.cfg"
+    p.write_text("train.lr = 1e-3\ntrain.epochs = 2\n\ntrain.lr = 5\n")
+    with pytest.raises(ValueError, match=r"dup.cfg:4: duplicate config key train.lr, set on line 1"):
+        read_config_file(str(p))
+
+
 def test_config_comments_and_blanks(tmp_path):
     p = tmp_path / "ok.cfg"
     p.write_text("\n# comment only\ntrain.lr = 0.5  # trailing comment\n\n")
@@ -179,6 +186,19 @@ def test_net_embed_dim_mismatch(cfg_path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "does not match" in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_rejects_a_non_finite_learning_rate(value, cfg_path, tmp_path, capsys):
+    data = tmp_path / "data"
+    assert dispatch(["synth", "--config", str(cfg_path), "--out", str(data)]) == 0
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(PIPELINE_CFG.replace("train.epochs = 2", "train.epochs = 0").replace("0.001", value))
+    ckpt = tmp_path / "m.ckpt"
+    rc = dispatch(["train", "--config", str(bad), "--data", str(data), "--out", str(ckpt)])
+    assert rc == 1
+    assert f"lr must be positive and finite, got {value}" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 # ---------------------------------------------------------------------------

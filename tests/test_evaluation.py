@@ -12,13 +12,12 @@ from zsl_embed.evaluation import (
     ablate,
     all_subsets,
     cell_seed,
-    embed_class_prototypes,
     emit_report,
     evaluate,
     hubness_skewness,
     prediction_distances,
 )
-from zsl_embed.metric import MetricKind
+from zsl_embed.metric import MetricKind, pairwise_distances
 from zsl_embed.network import NetConfig, S_TO_V, V_TO_S, init_model
 from zsl_embed.synthetic import SynthConfig, generate
 from zsl_embed.training import TrainConfig, train
@@ -58,22 +57,32 @@ def build_model(ds, direction=S_TO_V, seed=3):
 # prototypes
 
 
+def prototypes(model, ds, tags=("A", "B")):
+    """The unseen classes' embedded prototypes, in ascending class-id order."""
+    ids = sorted(ds.unseen)
+    return model.embed({t: ds.table(t).matrix(ids) for t in tags}, tags)
+
+
 def test_prototypes_sorted_by_class_id():
     ds = build_dataset()
     model = build_model(ds)
-    a = embed_class_prototypes(model, ds.semantics, [8, 3, 5], ("A", "B"))
-    b = embed_class_prototypes(model, ds.semantics, [3, 5, 8], ("A", "B"))
-    assert a.shape == (3, ds.visual.dim)
-    assert a.tobytes() == b.tobytes()
+    metric = MetricKind.euclidean()
+    distances, ids = prediction_distances(model, ds, metric, ("A", "B"))
+    assert ids == sorted(ds.unseen)
+    # column j scores class ids[j]: embedded alone, its prototype gives the same distances
+    for j, cls in enumerate(ids):
+        proto = model.embed({t: ds.table(t).matrix([cls]) for t in ("A", "B")}, ("A", "B"))
+        alone = pairwise_distances(ds.test_visual.values, proto, metric)[:, 0]
+        np.testing.assert_allclose(distances[:, j], alone, rtol=1e-12)
 
 
 def test_prototypes_validation():
     ds = build_dataset()
     model = build_model(ds)
-    with pytest.raises(ValueError, match="no classes"):
-        embed_class_prototypes(model, ds.semantics, [], ("A",))
-    with pytest.raises(ValueError, match="no semantic table"):
-        embed_class_prototypes(model, ds.semantics[:1], [3], ("A", "B"))
+    only_a = dataclasses.replace(ds, semantics=ds.semantics[:1])
+    with pytest.raises(ValueError, match=r"no semantic table for modalities \['B'\]"):
+        evaluate(model, only_a, MetricKind.ec(0.9), ("A", "B"))
+    assert evaluate(model, only_a, MetricKind.ec(0.9), ("A",)).top1 >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +129,7 @@ def test_evaluate_prototype_queries_score_perfectly():
     ds = build_dataset()
     model = build_model(ds)
     ids = sorted(ds.unseen)
-    proto = embed_class_prototypes(model, ds.semantics, ids, ("A", "B"))
+    proto = prototypes(model, ds)
     replayed = make_dataset(
         ds.visual,
         FeatureMatrix(proto, np.array(ids)),
@@ -238,8 +247,15 @@ def test_evaluate_rejects_non_finite_distances(metric):
     ds = build_dataset()
     huge = FeatureMatrix(ds.test_visual.values * 1e200, ds.test_visual.labels)
     ds = dataclasses.replace(ds, test_visual=huge)  # finite, but its squared distances overflow
-    with pytest.raises(ValueError, match="non-finite .* distance"):
-        evaluate(build_model(ds), ds, metric, ("A", "B"))
+    model = build_model(ds)
+    message = f"non-finite {metric.label()} distance inf between query row 0 and prototype row 0"
+    with pytest.raises(ValueError, match=message):
+        evaluate(model, ds, metric, ("A", "B"))
+    with pytest.raises(ValueError, match=message):
+        prediction_distances(model, ds, metric, ("A", "B"))
+    distances = pairwise_distances(ds.test_visual.values, prototypes(model, ds), metric)
+    with pytest.raises(ValueError, match="distance matrix is not finite"):
+        hubness_skewness(distances, 1)
 
 
 def test_prediction_distances_dim_guard():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,9 @@ def test_modality_spec_validation():
         ModalitySpec("A", 4, information_fraction=1.1)
     with pytest.raises(ValueError):
         ModalitySpec("A", 4, noise_sigma=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="modality A: noise_sigma must be finite"):
+            ModalitySpec("A", 4, noise_sigma=bad)
 
 
 def test_synth_config_validation():
@@ -36,6 +41,9 @@ def test_synth_config_validation():
         SynthConfig(modalities=(ModalitySpec("W", 3), ModalitySpec("W", 4)))
     with pytest.raises(ValueError):
         SynthConfig(visual_noise_sigma=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="visual_noise_sigma must be finite"):
+            SynthConfig(visual_noise_sigma=bad)
 
 
 def test_generate_is_deterministic():
