@@ -16,7 +16,6 @@ from zsl_embed.data import (
     load_feature_matrix,
     load_semantic_table,
     load_split,
-    make_dataset,
     save_dataset,
     save_feature_matrix,
     save_semantic_table,
@@ -91,7 +90,6 @@ __all__ = [
     "load_feature_matrix",
     "load_semantic_table",
     "load_split",
-    "make_dataset",
     "metric_distance",
     "pairwise_distances",
     "save_checkpoint",

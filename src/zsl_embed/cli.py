@@ -95,13 +95,6 @@ def _check_keys(path: str, entries: dict[str, str]) -> None:
 
 def _parse_value(key: str, value: str, kind):
     try:
-        if kind is bool:
-            lowered = value.lower()
-            if lowered in ("true", "yes", "1"):
-                return True
-            if lowered in ("false", "no", "0"):
-                return False
-            raise ValueError(value)
         return kind(value)
     except ValueError:
         raise ValueError(f"config key {key}: invalid value {value!r}") from None

@@ -2,7 +2,9 @@
 
 All containers are immutable after construction (they hold read-only
 copies of the arrays they were given), so datasets can be shared freely
-across worker processes.
+across worker processes. A modality's semantic table is one
+``FeatureMatrix`` with a row per class, labelled with the class id.
+
 File formats:
 
 * binary feature file: magic ``ZSLF``, u32 LE version (=1), u64 LE rows,
@@ -17,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -91,56 +93,37 @@ class FeatureMatrix:
 class SemanticTable:
     """Per-class semantic vectors for one modality.
 
-    ``vectors`` maps class id to a 1-D float64 vector; all vectors share
-    the same dimension and every value is finite.
+    ``vectors`` holds one row per class, labelled with its class id. Each
+    id appears once, and the rows are kept in ascending id order whatever
+    order they arrive in. ``FeatureMatrix`` checks the values and ids.
     """
 
     modality: ModalityTag
-    vectors: dict[ClassId, np.ndarray]
+    vectors: FeatureMatrix
 
     def __post_init__(self) -> None:
-        if not self.vectors:
+        ids = self.vectors.labels
+        if ids.size == 0:
             raise ValueError(f"semantic table for modality {self.modality} is empty")
-        clean: dict[ClassId, np.ndarray] = {}
-        dim = None
-        for cls, vec in self.vectors.items():
-            cls = int(cls)
-            if cls < 0:
-                raise ValueError("class ids must be non-negative")
-            vec = np.array(vec, dtype=np.float64)  # a private copy, frozen below
-            if vec.ndim != 1 or vec.size == 0:
+        if (np.diff(ids) <= 0).any():  # not strictly ascending: sort, then look for repeats
+            order = np.argsort(ids, kind="stable")
+            ids = ids[order]
+            repeated = ids[1:][ids[1:] == ids[:-1]]
+            if repeated.size:
                 raise ValueError(
-                    f"semantic vector for class {cls} must be a non-empty 1-D vector"
+                    f"duplicate class {repeated[0]} in semantic table for modality {self.modality}"
                 )
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise ValueError(
-                    f"modality {self.modality}: class {cls} has dim {vec.size}, "
-                    f"expected {dim}"
-                )
-            if not np.isfinite(vec).all():
-                raise ValueError(
-                    f"modality {self.modality}: non-finite value for class {cls}"
-                )
-            clean[cls] = _freeze(vec)
-        object.__setattr__(self, "vectors", clean)
-
-    @property
-    def dim(self) -> int:
-        return next(iter(self.vectors.values())).size
-
-    def class_ids(self) -> list[ClassId]:
-        return sorted(self.vectors)
+            object.__setattr__(self, "vectors", FeatureMatrix(self.vectors.values[order], ids))
 
     def matrix(self, class_ids: Iterable[ClassId]) -> np.ndarray:
-        """Stack vectors for the given ids (repeats allowed) into a matrix."""
-        try:
-            return np.stack([self.vectors[int(c)] for c in class_ids])
-        except KeyError as exc:
-            raise ValueError(
-                f"class {exc.args[0]} missing from modality {self.modality}"
-            ) from None
+        """The rows of the given ids (repeats allowed), as a new matrix."""
+        ids = np.fromiter(class_ids, dtype=np.int64)
+        known = self.vectors.labels
+        at = np.minimum(np.searchsorted(known, ids), known.size - 1)
+        missing = known[at] != ids
+        if missing.any():
+            raise ValueError(f"class {ids[missing][0]} missing from modality {self.modality}")
+        return self.vectors.values[at]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -195,7 +178,7 @@ class Dataset:
             raise ValueError(f"duplicate modality tags: {sorted(tags)}")
         split = seen | unseen
         for table in semantics:
-            covered = set(table.vectors)
+            covered = set(table.vectors.labels.tolist())
             for cls in sorted(split - covered):
                 raise ValueError(f"class {cls} missing from modality {table.modality}")
             for cls in sorted(covered - split):
@@ -215,28 +198,16 @@ class Dataset:
 
     def modality_dims(self, tags: Iterable[ModalityTag] | None = None) -> dict[str, int]:
         tags = self.modality_tags if tags is None else tuple(tags)
-        return {tag: self.table(tag).dim for tag in tags}
-
-
-def make_dataset(
-    visual: FeatureMatrix,
-    test_visual: FeatureMatrix,
-    semantics: Sequence[SemanticTable],
-    seen: Iterable[ClassId],
-    unseen: Iterable[ClassId],
-) -> Dataset:
-    """Assemble and validate a dataset; fails instead of repairing bad input."""
-    return Dataset(visual, test_visual, tuple(semantics), frozenset(seen), frozenset(unseen))
+        return {tag: self.table(tag).vectors.dim for tag in tags}
 
 
 def class_prototypes(features: FeatureMatrix, modality: ModalityTag = "avg") -> SemanticTable:
     """Arithmetic mean of the feature rows of each class."""
     if features.rows == 0:
         raise ValueError("cannot average an empty feature matrix")
-    vectors = {}
-    for cls in features.class_ids():
-        vectors[cls] = features.values[features.labels == cls].mean(axis=0)
-    return SemanticTable(modality, vectors)
+    ids = np.unique(features.labels)
+    means = [features.values[features.labels == cls].mean(axis=0) for cls in ids]
+    return SemanticTable(modality, FeatureMatrix(np.stack(means), ids))
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +268,16 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
 
 def save_semantic_table(table: SemanticTable, path: str | Path) -> None:
     """Write a semantic table as a feature file with one row per class."""
-    ids = table.class_ids()
-    save_feature_matrix(FeatureMatrix(table.matrix(ids), np.asarray(ids, dtype=np.int64)), path)
+    save_feature_matrix(table.vectors, path)
 
 
 def load_semantic_table(path: str | Path, modality: ModalityTag) -> SemanticTable:
     """Read a per-class semantic table; duplicate class rows are rejected."""
     m = load_feature_matrix(path)
-    vectors: dict[ClassId, np.ndarray] = {}
-    for label, row in zip(m.labels, m.values):
-        cls = int(label)
-        if cls in vectors:
-            raise ValueError(f"{path}: duplicate class {cls} in semantic table")
-        vectors[cls] = row
-    return SemanticTable(modality, vectors)
+    try:
+        return SemanticTable(modality, m)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_split(seen: Iterable[ClassId], unseen: Iterable[ClassId], path: str | Path) -> None:
@@ -361,4 +328,4 @@ def load_dataset(directory: str | Path) -> Dataset:
         tables.append(load_semantic_table(path, tag))
     if not tables:
         raise ValueError(f"no semantic tables ({SEMANTIC_PREFIX}*.zslf) in {directory}")
-    return make_dataset(visual, test_visual, tables, seen, unseen)
+    return Dataset(visual, test_visual, tables, seen, unseen)

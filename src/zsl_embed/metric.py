@@ -168,12 +168,14 @@ def pairwise_distances(queries, prototypes, metric: MetricKind) -> np.ndarray:
     blocks whose temporary stays within ``_BLOCK_BYTES``.
     """
     q, p = _as_matrices(queries, prototypes)
-    qn, pn = np.sqrt(_squared_norms(q)), np.sqrt(_squared_norms(p))
     out = np.empty((q.shape[0], p.shape[0]))
     step = _rows_per_block(8 * p.size)
-    for lo in range(0, q.shape[0], step):
-        hi = lo + step
-        out[lo:hi] = _exact(q[lo:hi, None, :], p[None], qn[lo:hi, None], pn[None], metric)
+    # finite inputs whose squares overflow score inf or NaN, which the callers reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        qn, pn = np.sqrt(_squared_norms(q)), np.sqrt(_squared_norms(p))
+        for lo in range(0, q.shape[0], step):
+            hi = lo + step
+            out[lo:hi] = _exact(q[lo:hi, None, :], p[None], qn[lo:hi, None], pn[None], metric)
     return out
 
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .data import Dataset, FeatureMatrix, SemanticTable, make_dataset
+from .data import Dataset, FeatureMatrix, SemanticTable
 
 LIFT_DENSITY = 0.25
 
@@ -128,7 +128,7 @@ def generate(config: SynthConfig) -> Dataset:
         projection = rng.normal(0.0, 1.0 / math.sqrt(observed.shape[1]), size=(spec.dim, observed.shape[1]))
         vectors = observed @ projection.T
         vectors = vectors + spec.noise_sigma * rng.normal(0.0, 1.0, size=vectors.shape)
-        tables.append(SemanticTable(spec.tag, {c: vectors[c] for c in range(n)}))
+        tables.append(SemanticTable(spec.tag, FeatureMatrix(vectors, np.arange(n))))
 
     def sample_block(class_ids: list[int]) -> FeatureMatrix:
         rows, labels = [], []
@@ -142,4 +142,4 @@ def generate(config: SynthConfig) -> Dataset:
 
     visual = sample_block(seen)
     test_visual = sample_block(unseen)
-    return make_dataset(visual, test_visual, tables, seen, unseen)
+    return Dataset(visual, test_visual, tables, seen, unseen)

@@ -58,7 +58,6 @@ class TrainConfig:
     epochs: int = 200
     lr_decay: float = 1.0
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self) -> None:
         if self.optimizer not in OPTIMIZERS:
@@ -73,8 +72,8 @@ class TrainConfig:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if not 0 < self.lr_decay <= 1:
             raise ValueError("lr_decay must be in (0, 1]")
 
@@ -176,9 +175,6 @@ def train(
         )
     model = init_model(net_config, train_config.seed, tags)
     history = TrainHistory()
-    if train_config.epochs == 0:
-        return model, history
-
     n = dataset.visual.rows
     if n == 0:
         raise ValueError("empty training set")
@@ -193,7 +189,7 @@ def train(
     first = None
     for epoch in range(train_config.epochs):
         optimizer.lr = train_config.lr * train_config.lr_decay**epoch
-        order = rng.permutation(n) if train_config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, train_config.batch_size):
             idx = order[start : start + train_config.batch_size]
@@ -234,19 +230,22 @@ def _encode_config(config: NetConfig) -> bytes:
 
 
 def _decode_config(blob: bytes) -> NetConfig:
-    """Inverse of ``_encode_config``."""
+    """Inverse of ``_encode_config``: one line per NetConfig field and no other.
+
+    Each value but ``modality_dims`` parses as the type of its field's default.
+    """
     try:
-        fields = dict(line.split(" = ", 1) for line in blob.decode("utf-8").splitlines())
-        dims = (item.split(":") for item in fields["modality_dims"].split(","))
+        pairs = [line.split(" = ", 1) for line in blob.decode("utf-8").splitlines()]
+        values = dict(pairs)
+        kinds = {f.name: type(f.default) for f in dataclasses.fields(NetConfig)}
+        if len(values) != len(pairs) or values.keys() != kinds.keys():
+            raise ValueError(f"keys {sorted(key for key, _ in pairs)}, expected {sorted(kinds)}")
+        dims = (item.split(":") for item in values.pop("modality_dims").split(","))
         return NetConfig(
             modality_dims={tag: int(dim) for tag, dim in dims},
-            head_hidden=int(fields["head_hidden"]),
-            head_out=int(fields["head_out"]),
-            embed_dim=int(fields["embed_dim"]),
-            direction=fields["direction"],
-            l2_lambda=float(fields["l2_lambda"]),
+            **{key: kinds[key](value) for key, value in values.items()},
         )
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"corrupted payload (config block: {exc})") from None
 
 

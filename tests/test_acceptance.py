@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from zsl_embed.data import FeatureMatrix, SemanticTable, class_prototypes, make_dataset
+from zsl_embed.data import Dataset, FeatureMatrix, SemanticTable, class_prototypes
 from zsl_embed.evaluation import (
     ablate,
     emit_report,
@@ -139,10 +139,10 @@ def test_criterion_6_oracle_equivalence():
     train_m = FeatureMatrix(rng.uniform(0, 1, (20, 8)), np.repeat(seen, 5))
     test_m = FeatureMatrix(rng.uniform(0, 1, (100, 8)), np.repeat(unseen, 10))
     tables = [
-        SemanticTable(tag, {c: rng.normal(size=5) for c in seen + unseen})
+        SemanticTable(tag, FeatureMatrix(rng.normal(size=(len(seen + unseen), 5)), seen + unseen))
         for tag in ("A", "B")
     ]
-    ds = make_dataset(train_m, test_m, tables, set(seen), set(unseen))
+    ds = Dataset(train_m, test_m, tables, set(seen), set(unseen))
     model = init_model(
         NetConfig(modality_dims=ds.modality_dims(), head_hidden=6, head_out=5,
                   embed_dim=8), seed=1,
@@ -228,10 +228,10 @@ def test_criterion_8_degenerate_inputs():
 
     rng = np.random.default_rng(8)
     seen, unseen = [0, 1], [2]
-    ds = make_dataset(
+    ds = Dataset(
         FeatureMatrix(rng.uniform(0, 1, (4, 3)), np.array([0, 0, 1, 1])),
         FeatureMatrix(rng.uniform(0, 1, (3, 3)), np.array([2, 2, 2])),
-        [SemanticTable("A", {c: rng.normal(size=2) for c in seen + unseen})],
+        [SemanticTable("A", FeatureMatrix(rng.normal(size=(len(seen + unseen), 2)), seen + unseen))],
         set(seen),
         set(unseen),
     )
@@ -247,7 +247,7 @@ def test_criterion_8_degenerate_inputs():
         "empty batch",
     ))
     checks.append(raises_with(
-        lambda: make_dataset(ds.visual, ds.test_visual, ds.semantics, {0, 1}, {1, 2}),
+        lambda: Dataset(ds.visual, ds.test_visual, ds.semantics, {0, 1}, {1, 2}),
         "splits overlap",
     ))
 

@@ -17,7 +17,6 @@ from zsl_embed.data import (
     load_feature_matrix,
     load_semantic_table,
     load_split,
-    make_dataset,
     save_dataset,
     save_feature_matrix,
     save_semantic_table,
@@ -34,10 +33,10 @@ def toy_dataset(n_mod=2):
     visual = FeatureMatrix(rng.uniform(0, 1, (6, 4)), np.array([0, 0, 1, 1, 2, 2]))
     test_visual = FeatureMatrix(rng.uniform(0, 1, (4, 4)), np.array([3, 3, 4, 4]))
     tables = [
-        SemanticTable(tag, {c: rng.normal(size=3) for c in range(5)})
+        SemanticTable(tag, FeatureMatrix(rng.normal(size=(5, 3)), range(5)))
         for tag in ("A", "B")[:n_mod]
     ]
-    return make_dataset(visual, test_visual, tables, {0, 1, 2}, {3, 4})
+    return Dataset(visual, test_visual, tables, {0, 1, 2}, {3, 4})
 
 
 # ---------------------------------------------------------------------------
@@ -67,35 +66,48 @@ def test_feature_matrix_is_read_only():
 
 
 def test_containers_leave_caller_arrays_writable():
-    values, labels, vec = np.ones((2, 3)), np.array([0, 1]), np.ones(3)
+    values, labels = np.ones((2, 3)), np.array([1, 0])
     m = FeatureMatrix(values, labels)
-    t = SemanticTable("A", {0: vec})
-    assert values.flags.writeable and labels.flags.writeable and vec.flags.writeable
-    values[0, 0] = labels[0] = vec[0] = 7
+    t = SemanticTable("A", FeatureMatrix(values, labels))  # out of order: sorted into a new matrix
+    assert values.flags.writeable and labels.flags.writeable
+    values[0, 0] = labels[0] = 7
     # the containers hold their own frozen copies
-    assert m.values[0, 0] == 1.0 and m.labels[0] == 0 and t.vectors[0][0] == 1.0
-    assert not m.values.flags.writeable and not t.vectors[0].flags.writeable
+    assert m.values[0, 0] == 1.0 and m.labels[0] == 1 and t.matrix([1])[0, 0] == 1.0
+    assert not m.values.flags.writeable and not t.vectors.values.flags.writeable
+    assert not t.vectors.labels.flags.writeable
 
 
-def test_semantic_table_dim_consistency():
-    with pytest.raises(ValueError, match="dim"):
-        SemanticTable("W", {0: np.ones(3), 1: np.ones(4)})
+def test_semantic_table_keeps_rows_in_ascending_class_order():
+    rows = np.arange(12.0).reshape(4, 3)
+    table = SemanticTable("W", FeatureMatrix(rows, [8, 1, 5, 3]))
+    assert table.vectors.labels.tolist() == [1, 3, 5, 8]
+    np.testing.assert_array_equal(table.vectors.values, rows[[1, 3, 2, 0]])
+    np.testing.assert_array_equal(table.matrix([5, 8, 5]), rows[[2, 0, 2]])
+    assert table.matrix(np.array([], dtype=np.int64)).shape == (0, 3)
+
+
+def test_semantic_table_rejects_duplicate_classes_and_an_empty_matrix():
+    with pytest.raises(ValueError, match="duplicate class 3 in semantic table for modality W"):
+        SemanticTable("W", FeatureMatrix(np.ones((4, 2)), [3, 9, 1, 3]))
+    with pytest.raises(ValueError, match="semantic table for modality W is empty"):
+        SemanticTable("W", FeatureMatrix(np.ones((0, 2)), []))
 
 
 def test_semantic_table_matrix_missing_class():
-    table = SemanticTable("W", {0: np.ones(2)})
-    with pytest.raises(ValueError, match="class 144 missing from modality W"):
-        table.matrix([144])
+    table = SemanticTable("W", FeatureMatrix(np.ones((2, 2)), [0, 5]))
+    for ids, missing in (([144], 144), ([0, 3, 7], 3), ([5, -1], -1), ([0, 6], 6)):
+        with pytest.raises(ValueError, match=f"class {missing} missing from modality W"):
+            table.matrix(ids)
 
 
 def test_dataset_overlap_rejected():
     rng = np.random.default_rng(1)
     visual = FeatureMatrix(rng.uniform(0, 1, (1, 2)), np.array([0]))
     with pytest.raises(ValueError, match="splits overlap"):
-        make_dataset(
+        Dataset(
             visual,
             visual,
-            [SemanticTable("W", {0: np.ones(2)})],
+            [SemanticTable("W", FeatureMatrix(np.ones((1, 2)), [0]))],
             seen={0},
             unseen={0},
         )
@@ -105,27 +117,27 @@ def test_dataset_semantic_coverage_message():
     rng = np.random.default_rng(1)
     visual = FeatureMatrix(rng.uniform(0, 1, (1, 2)), np.array([0]))
     test_visual = FeatureMatrix(rng.uniform(0, 1, (1, 2)), np.array([144]))
-    table = SemanticTable("W", {0: np.ones(2)})  # covers only the seen class
+    table = SemanticTable("W", FeatureMatrix(np.ones((1, 2)), [0]))  # covers only the seen class
     with pytest.raises(ValueError, match="class 144 missing from modality W"):
-        make_dataset(visual, test_visual, [table], {0}, {144})
+        Dataset(visual, test_visual, [table], {0}, {144})
 
 
 def test_dataset_rejects_mislabeled_samples():
     rng = np.random.default_rng(1)
     visual = FeatureMatrix(rng.uniform(0, 1, (1, 2)), np.array([7]))
     test_visual = FeatureMatrix(rng.uniform(0, 1, (1, 2)), np.array([1]))
-    tables = [SemanticTable("W", {0: np.ones(2), 1: np.ones(2)})]
+    tables = [SemanticTable("W", FeatureMatrix(np.ones((2, 2)), [0, 1]))]
     with pytest.raises(ValueError, match="class 7"):
-        make_dataset(visual, test_visual, tables, {0}, {1})
+        Dataset(visual, test_visual, tables, {0}, {1})
 
 
 def test_dataset_rejects_extra_semantic_classes():
     rng = np.random.default_rng(1)
     visual = FeatureMatrix(rng.uniform(0, 1, (1, 2)), np.array([0]))
     test_visual = FeatureMatrix(rng.uniform(0, 1, (1, 2)), np.array([1]))
-    tables = [SemanticTable("W", {0: np.ones(2), 1: np.ones(2), 9: np.ones(2)})]
+    tables = [SemanticTable("W", FeatureMatrix(np.ones((3, 2)), [0, 1, 9]))]
     with pytest.raises(ValueError, match="class 9 of modality W not in the split"):
-        make_dataset(visual, test_visual, tables, {0}, {1})
+        Dataset(visual, test_visual, tables, {0}, {1})
 
 
 def test_dataset_helpers():
@@ -141,7 +153,7 @@ def test_dataset_helpers():
 def test_class_prototypes_two_point_mean():
     m = FeatureMatrix(np.array([[1.0, 3.0], [3.0, 1.0]]), np.array([0, 0]))
     table = class_prototypes(m)
-    np.testing.assert_array_equal(table.vectors[0], [2.0, 2.0])
+    np.testing.assert_array_equal(table.matrix([0])[0], [2.0, 2.0])
 
 
 def test_class_prototypes_multi_class():
@@ -149,13 +161,13 @@ def test_class_prototypes_multi_class():
         np.array([[1.0, 0.0], [0.0, 1.0], [4.0, 4.0]]), np.array([0, 0, 1])
     )
     table = class_prototypes(m)
-    np.testing.assert_allclose(table.vectors[0], [0.5, 0.5])
-    np.testing.assert_array_equal(table.vectors[1], [4.0, 4.0])
+    np.testing.assert_allclose(table.matrix([0])[0], [0.5, 0.5])
+    np.testing.assert_array_equal(table.matrix([1])[0], [4.0, 4.0])
 
 
 def test_class_prototypes_single_row_identity():
     m = FeatureMatrix(np.array([[5.0, 5.0, 5.0]]), np.array([1]))
-    np.testing.assert_array_equal(class_prototypes(m).vectors[1], [5.0, 5.0, 5.0])
+    np.testing.assert_array_equal(class_prototypes(m).matrix([1])[0], [5.0, 5.0, 5.0])
 
 
 def test_class_prototypes_permutation_invariant():
@@ -165,8 +177,8 @@ def test_class_prototypes_permutation_invariant():
     perm = rng.permutation(20)
     a = class_prototypes(FeatureMatrix(values, labels))
     b = class_prototypes(FeatureMatrix(values[perm], labels[perm]))
-    for cls in a.class_ids():
-        np.testing.assert_allclose(a.vectors[cls], b.vectors[cls], rtol=1e-12)
+    assert a.vectors.labels.tolist() == b.vectors.labels.tolist()
+    np.testing.assert_allclose(a.vectors.values, b.vectors.values, rtol=1e-12)
 
 
 @given(
@@ -186,7 +198,7 @@ def test_class_prototypes_match_loop_oracle(rows):
     for cls in sorted(set(labels.tolist())):
         member_rows = [r[1] for r in rows if r[0] == cls]
         expect = [sum(col) / len(member_rows) for col in zip(*member_rows)]
-        np.testing.assert_allclose(table.vectors[cls], expect, rtol=1e-6, atol=1e-12)
+        np.testing.assert_allclose(table.matrix([cls])[0], expect, rtol=1e-6, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +333,23 @@ def test_feature_reader_rejects_huge_header_dims(tmp_path):
 
 def test_semantic_table_round_trip(tmp_path):
     rng = np.random.default_rng(2)
-    table = SemanticTable(
-        "C", {c: rng.normal(size=4).astype(np.float32).astype(np.float64) for c in (3, 1, 8)}
-    )
+    rows = rng.normal(size=(3, 4)).astype(np.float32).astype(np.float64)
+    table = SemanticTable("C", FeatureMatrix(rows, [3, 1, 8]))
     p = tmp_path / "semantic_C.zslf"
     save_semantic_table(table, p)
     back = load_semantic_table(p, "C")
-    assert back.class_ids() == [1, 3, 8]
-    for c in back.class_ids():
-        np.testing.assert_array_equal(back.vectors[c], table.vectors[c])
+    assert back.vectors.labels.tolist() == [1, 3, 8]
+    np.testing.assert_array_equal(back.vectors.values, table.vectors.values)
+    # the rows' arrival order does not reach the file
+    save_semantic_table(SemanticTable("C", FeatureMatrix(rows[[1, 0, 2]], [1, 3, 8])), tmp_path / "sorted.zslf")
+    assert (tmp_path / "sorted.zslf").read_bytes() == p.read_bytes()
+
+
+def test_load_semantic_table_rejects_duplicate_classes(tmp_path):
+    p = tmp_path / "semantic_T.zslf"
+    save_feature_matrix(FeatureMatrix(np.ones((3, 2)), [4, 2, 4]), p)
+    with pytest.raises(ValueError, match=r"semantic_T\.zslf: duplicate class 4 in semantic table"):
+        load_semantic_table(p, "T")
 
 
 def test_split_round_trip(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zsl_embed import evaluation
-from zsl_embed.data import Dataset, FeatureMatrix, SemanticTable, make_dataset
+from zsl_embed.data import Dataset, FeatureMatrix, SemanticTable
 from zsl_embed.evaluation import (
     REPORT_HEADER,
     AblationCell,
@@ -40,11 +40,11 @@ def build_dataset(n_seen=3, n_unseen=6, per_class=4, dim=6, sem_dim=4, seed=0,
     )
     tables = []
     for tag in ("A", "B"):
-        vectors = {c: rng.normal(size=sem_dim) for c in seen + unseen}
+        vectors = rng.normal(size=(n_seen + n_unseen, sem_dim))
         if twin_unseen:
-            vectors[unseen[1]] = vectors[unseen[0]].copy()
-        tables.append(SemanticTable(tag, vectors))
-    return make_dataset(train, test, tables, set(seen), set(unseen))
+            vectors[n_seen + 1] = vectors[n_seen]
+        tables.append(SemanticTable(tag, FeatureMatrix(vectors, seen + unseen)))
+    return Dataset(train, test, tables, set(seen), set(unseen))
 
 
 def build_model(ds, direction=S_TO_V, seed=3):
@@ -130,7 +130,7 @@ def test_evaluate_prototype_queries_score_perfectly():
     model = build_model(ds)
     ids = sorted(ds.unseen)
     proto = prototypes(model, ds)
-    replayed = make_dataset(
+    replayed = Dataset(
         ds.visual,
         FeatureMatrix(proto, np.array(ids)),
         ds.semantics,
@@ -175,7 +175,7 @@ def test_evaluate_row_order_invariance():
     ds = build_dataset(seed=6)
     model = build_model(ds)
     perm = np.random.default_rng(0).permutation(ds.test_visual.rows)
-    shuffled = make_dataset(
+    shuffled = Dataset(
         ds.visual,
         FeatureMatrix(ds.test_visual.values[perm], ds.test_visual.labels[perm]),
         ds.semantics,
@@ -212,7 +212,7 @@ def test_evaluate_visual_to_semantic_direction():
 
 def test_evaluate_no_test_samples():
     ds = build_dataset()
-    empty = make_dataset(
+    empty = Dataset(
         ds.visual,
         FeatureMatrix(np.zeros((0, ds.test_visual.dim)), np.zeros(0, dtype=int)),
         ds.semantics,
@@ -242,6 +242,7 @@ def test_evaluate_rejects_non_finite_queries():
         evaluate(model, ds, MetricKind.euclidean(), ("A",))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("metric", [MetricKind.euclidean(), MetricKind.ec(0.9)], ids=lambda m: m.kind)
 def test_evaluate_rejects_non_finite_distances(metric):
     ds = build_dataset()

@@ -54,8 +54,8 @@ def test_generate_is_deterministic():
     assert a.seen == b.seen and a.unseen == b.unseen
     for ta, tb in zip(a.semantics, b.semantics):
         assert ta.modality == tb.modality
-        ids = ta.class_ids()
-        assert ta.matrix(ids).tobytes() == tb.matrix(ids).tobytes()
+        assert ta.vectors.labels.tobytes() == tb.vectors.labels.tobytes()
+        assert ta.vectors.values.tobytes() == tb.vectors.values.tobytes()
 
 
 def test_generate_seed_changes_data():

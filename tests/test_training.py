@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zsl_embed.data import FeatureMatrix, SemanticTable, make_dataset
+from zsl_embed.data import Dataset, FeatureMatrix, SemanticTable
 from zsl_embed.network import NetConfig, ParamBuffer, S_TO_V, V_TO_S, init_model
 from zsl_embed.synthetic import SynthConfig, generate
 from zsl_embed.training import (
@@ -50,10 +50,10 @@ def tiny_dataset():
     visual = FeatureMatrix(rng.uniform(0, 1, (8, 4)), np.array([0, 0, 0, 0, 1, 1, 1, 1]))
     test_visual = FeatureMatrix(rng.uniform(0, 1, (4, 4)), np.array([2, 2, 3, 3]))
     tables = [
-        SemanticTable(tag, {c: rng.normal(size=3) for c in range(4)})
+        SemanticTable(tag, FeatureMatrix(rng.normal(size=(4, 3)), range(4)))
         for tag in ("A", "B")
     ]
-    return make_dataset(visual, test_visual, tables, {0, 1}, {2, 3})
+    return Dataset(visual, test_visual, tables, {0, 1}, {2, 3})
 
 
 def tiny_net(direction=S_TO_V):
@@ -81,6 +81,9 @@ def test_train_config_validation():
         TrainConfig(beta2=1.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"epochs must be at least 1, got {bad}"):
+            TrainConfig(epochs=bad)
     with pytest.raises(ValueError):
         TrainConfig(lr_decay=0.0)
     with pytest.raises(ValueError):
@@ -233,16 +236,6 @@ def test_flat_optimizer_matches_per_array_loop_bitwise(opt_cls, reference, cfg):
 # training loop
 
 
-def test_epochs_zero_returns_initialized_model():
-    ds = tiny_dataset()
-    cfg = TrainConfig(epochs=0, seed=9)
-    model, history = train(ds, tiny_net(), cfg, ("A", "B"))
-    assert len(history) == 0 and history.losses == [] and history.lrs == []
-    fresh = init_model(tiny_net(), seed=9)
-    for name, p in model.params.items():
-        np.testing.assert_array_equal(p, fresh.params[name])
-
-
 def test_train_deterministic():
     ds = tiny_dataset()
     cfg = TrainConfig(lr=1e-3, batch_size=3, epochs=5, seed=4)
@@ -308,8 +301,8 @@ def test_train_matches_per_sample_semantic_rows():
     labels = np.array([11, 2, 7, 2, 11, 11, 7, 2, 7])  # unsorted, non-contiguous ids
     visual = FeatureMatrix(rng.uniform(0, 1, (9, 4)), labels)
     test_visual = FeatureMatrix(rng.uniform(0, 1, (2, 4)), np.array([4, 4]))
-    tables = [SemanticTable(t, {c: rng.normal(size=3) for c in (2, 4, 7, 11)}) for t in "AB"]
-    ds = make_dataset(visual, test_visual, tables, {2, 7, 11}, {4})
+    tables = [SemanticTable(t, FeatureMatrix(rng.normal(size=(4, 3)), [2, 4, 7, 11])) for t in "AB"]
+    ds = Dataset(visual, test_visual, tables, {2, 7, 11}, {4})
     cfg = TrainConfig(lr=1e-2, batch_size=4, epochs=3, seed=8)
     model, history = train(ds, tiny_net(), cfg, ("A", "B"))
 
@@ -375,8 +368,8 @@ def test_train_empty_training_set():
     rng = np.random.default_rng(0)
     visual = FeatureMatrix(np.zeros((0, 4)), np.zeros(0, dtype=int))
     test_visual = FeatureMatrix(rng.uniform(0, 1, (2, 4)), np.array([1, 1]))
-    tables = [SemanticTable("A", {0: np.ones(3), 1: np.ones(3)})]
-    ds = make_dataset(visual, test_visual, tables, {0}, {1})
+    tables = [SemanticTable("A", FeatureMatrix(np.ones((2, 3)), [0, 1]))]
+    ds = Dataset(visual, test_visual, tables, {0}, {1})
     with pytest.raises(ValueError, match="empty training set"):
         train(ds, tiny_net(), TrainConfig(epochs=1), ("A",))
 
@@ -499,6 +492,10 @@ def with_config(body: bytes, old: bytes, new: bytes) -> bytes:
         (lambda b: b + b"\x00" * 8, "trailing bytes"),
         (lambda b: with_config(b, b"embed_dim = 4", b"embed_dim = 10000000"), "truncated"),
         (lambda b: b.replace(b"direction = s2v", b"direction = up"), "config block"),
+        pytest.param(lambda b: with_config(b, b"head_out = 3", b"head_out = 3\nshuffle = True"),
+                     r"config block: keys \[.*'shuffle'", id="extra-config-key"),
+        pytest.param(lambda b: with_config(b, b"\nl2_lambda = 0.0005", b""),
+                     r"config block: keys \[.*'head_out', 'modality_dims'\]", id="missing-config-key"),
     ],
 )
 def test_checkpoint_with_valid_crc_but_wrong_layout(tmp_path, edit, message):
