@@ -359,6 +359,10 @@ def dispatch(argv: list[str]) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy's message names the array's shape and size
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -97,8 +97,10 @@ def prediction_distances(
     """
     queries, prototypes, ids = _scoring_inputs(model, dataset, active)
     dist = pairwise_distances(queries, prototypes, metric)
-    rows, cols = np.indices(dist.shape)
-    check_finite_distances(dist.ravel(), metric, rows.ravel(), cols.ravel())
+    bad = ~np.isfinite(dist)
+    if bad.any():
+        row, col = np.unravel_index(int(np.argmax(bad)), dist.shape)
+        check_finite_distances(dist[row, col : col + 1], metric, [row], [col])
     return dist, ids
 
 

@@ -6,6 +6,12 @@ angular agreement discount the Euclidean term, which can change the
 nearest class relative to plain Euclidean ranking. All distances are
 computed in double precision with elementwise reductions so that a
 brute-force per-pair evaluation reproduces them bit for bit.
+
+One exact core (``_sums`` and ``_finish``) computes every exact distance.
+``pairwise_distances`` streams each prototype through cache-sized blocks
+of query rows with it. ``top_k_classes`` screens a block of queries at a
+time with one GEMM and rounding-error bounds, and uses the core only for
+rows whose ranks the bounds cannot settle.
 """
 
 from __future__ import annotations
@@ -101,9 +107,10 @@ def metric_distance(a, b, metric: MetricKind) -> float:
     return ec_distance(a, b, metric.eta)
 
 
-# bytes of the temporaries one block of scoring allocates: about one
-# core's L2 cache
-_BLOCK_BYTES = 2 << 20
+# bytes of one block of query rows (or of a block's distances, when
+# ranking), and of the scratch the exact core reuses within it: the
+# fastest of 64 KiB to 2 MiB for 1000 x 50 x 2048 on a core with 2 MiB of L2
+_BLOCK_BYTES = 512 << 10
 
 
 def _as_matrices(queries, prototypes) -> tuple[np.ndarray, np.ndarray]:
@@ -125,31 +132,42 @@ def _rows_per_block(row_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // max(row_bytes, 1))
 
 
-def _squared_norms(x: np.ndarray) -> np.ndarray:
-    """Each row's sum of squares, reduced as ``metric_distance`` reduces it."""
+def _squared_norms(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares, reduced as ``metric_distance`` reduces it.
+
+    ``buf`` is a scratch block of rows as long as ``x``'s.
+    """
     out = np.empty(x.shape[0])
-    step = _rows_per_block(8 * x.shape[1])
-    for lo in range(0, x.shape[0], step):
-        block = x[lo : lo + step]
-        out[lo : lo + step] = np.sum(block * block, axis=1)
+    for lo in range(0, x.shape[0], len(buf)):
+        block = x[lo : lo + len(buf)]
+        scratch = buf[: len(block)]
+        np.multiply(block, block, out=scratch)
+        np.add.reduce(scratch, axis=1, out=out[lo : lo + len(block)])
     return out
 
 
-def _exact(q, p, qn, pn, metric: MetricKind) -> np.ndarray:
-    """Distances between the rows of ``q`` and ``p``, broadcast against each other.
+def _sums(x, y, buf, eucsq, dots, metric: MetricKind) -> None:
+    """The exact core: ``eucsq[i] = sum((x[i] - y[i])**2)`` and
+    ``dots[i] = sum(x[i] * y[i])``, each written only if ``metric`` uses it.
 
-    ``q`` and ``p`` broadcast to (..., d) and their norms ``qn`` and ``pn``
-    to (...). Every entry is reduced over the last axis alone, as
-    ``metric_distance`` reduces one pair.
+    ``y`` is one row, broadcast against every row of ``x``, or as many
+    rows as ``x``; ``buf`` is a scratch of ``x``'s shape. Each sum runs
+    over one contiguous row, as ``metric_distance`` sums one pair.
     """
     if metric.kind != "cosine":
-        diff = q - p
-        diff *= diff
-        eucsq = np.sum(diff, axis=-1)
-        del diff  # free the temporary before the product for the dots
-        if metric.kind == "euclidean":
-            return eucsq
-    dots = np.sum(q * p, axis=-1)
+        np.subtract(x, y, out=buf)
+        np.multiply(buf, buf, out=buf)
+        np.add.reduce(buf, axis=1, out=eucsq)
+    if metric.kind != "euclidean":
+        np.multiply(x, y, out=buf)
+        np.add.reduce(buf, axis=1, out=dots)
+
+
+def _finish(eucsq, dots, qn, pn, metric: MetricKind) -> np.ndarray:
+    """Distances from the sums of ``_sums`` and the norms of both sides,
+    elementwise; ``qn`` and ``pn`` broadcast to the shape of the sums."""
+    if metric.kind == "euclidean":
+        return eucsq
     denom = qn * pn
     cos = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
     np.clip(cos, -1.0, 1.0, out=cos)
@@ -164,19 +182,25 @@ def pairwise_distances(queries, prototypes, metric: MetricKind) -> np.ndarray:
     Accepts a FeatureMatrix or a 2-D array for ``queries``. Entry (i, c)
     equals ``metric_distance(queries[i], prototypes[c], metric)`` exactly;
     reductions are elementwise (no BLAS accumulation) to keep per-entry
-    results identical to a scalar double loop. Query rows are scored in
-    blocks whose temporary stays within ``_BLOCK_BYTES``.
+    results identical to a scalar double loop. Each prototype is scored
+    against one block of ``_BLOCK_BYTES`` of query rows at a time, into
+    one scratch block allocated per call; cos, its clip and the EC weight
+    are then applied once over the whole matrix.
     """
     q, p = _as_matrices(queries, prototypes)
-    out = np.empty((q.shape[0], p.shape[0]))
-    step = _rows_per_block(8 * p.size)
+    buf = np.empty((_rows_per_block(8 * q.shape[1]), q.shape[1]))
+    # prototype-major, so each block's sums land in one contiguous run
+    eucsq, dots = np.empty((2, p.shape[0], q.shape[0]))
     # finite inputs whose squares overflow score inf or NaN, which the callers reject
     with np.errstate(over="ignore", invalid="ignore"):
-        qn, pn = np.sqrt(_squared_norms(q)), np.sqrt(_squared_norms(p))
-        for lo in range(0, q.shape[0], step):
-            hi = lo + step
-            out[lo:hi] = _exact(q[lo:hi, None, :], p[None], qn[lo:hi, None], pn[None], metric)
-    return out
+        for lo in range(0, q.shape[0], len(buf)):
+            block = q[lo : lo + len(buf)]
+            hi = lo + len(block)
+            for c, proto in enumerate(p):
+                _sums(block, proto, buf[: len(block)], eucsq[c, lo:hi], dots[c, lo:hi], metric)
+        qn, pn = np.sqrt(_squared_norms(q, buf)), np.sqrt(_squared_norms(p, buf))
+        dist = _finish(eucsq, dots, qn[None, :], pn[:, None], metric)
+    return np.ascontiguousarray(dist.T)
 
 
 def check_finite_distances(scored: np.ndarray, metric: MetricKind, rows, cols) -> None:
@@ -194,7 +218,7 @@ def check_finite_distances(scored: np.ndarray, metric: MetricKind, rows, cols) -
 def _screen(qsq, psq, dots, metric: MetricKind, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Distances from squared norms and BLAS dot products, with error bounds.
 
-    Each bound covers the distance of ``_exact`` whatever order either
+    Each bound covers the distance of the exact core whatever order either
     side sums in: 4(d + 4) eps (|q| + |p|)^2 for the squared Euclidean
     part, 8(d + 4) eps for the cosine (plus an underflow term each), and
     their composition for ``ec``. That is about four times the worst
@@ -208,7 +232,10 @@ def _screen(qsq, psq, dots, metric: MetricKind, dim: int) -> tuple[np.ndarray, n
         denom = qn * pn
         cos = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
         np.clip(cos, -1.0, 1.0, out=cos)
-        cos_err = 2.0 * c * (eps + np.divide(tiny, denom, out=np.zeros_like(denom), where=denom > 0))
+        # eps + tiny / denom rounds to eps wherever denom >= 1, so only
+        # smaller denominators are divided: a subnormal quotient is slow
+        under = np.divide(tiny, denom, out=np.zeros_like(denom), where=(denom > 0) & (denom < 1.0))
+        cos_err = 2.0 * c * (eps + under)
         if metric.kind == "cosine":
             return 1.0 - cos, cos_err + 2.0 * eps
     eucsq = qsq[:, None] + psq[None, :] - 2.0 * dots
@@ -225,30 +252,64 @@ def top_k_classes(queries, prototypes, metric: MetricKind, k: int) -> np.ndarray
     """Each query's k nearest prototype rows, nearest first; ties break by index.
 
     Equals ``np.argsort(pairwise_distances(...), axis=1, kind="stable")[:, :k]``.
-    One GEMM of dot products bounds every distance; only prototypes whose
-    lower bound reaches the k-th smallest upper bound of their row are
-    rescored with the exact kernel of ``pairwise_distances``. Raises
-    ValueError if an exact distance it computes is not finite.
+    Query rows are ranked in blocks of ``_BLOCK_BYTES`` of distances, so
+    memory grows with the queries only by the ranks returned. One GEMM of
+    dot products bounds every distance of a block. A row whose screen
+    leaves exactly k candidates with disjoint bounds is ranked by those
+    bounds alone; in the other rows, only prototypes whose lower bound
+    reaches the k-th smallest upper bound of their row are rescored with
+    the exact core of ``pairwise_distances``. Raises ValueError if an exact
+    distance it computes is not finite.
     """
     q, p = _as_matrices(queries, prototypes)
     if not 1 <= k <= p.shape[0]:
         raise ValueError(f"k must be in [1, {p.shape[0]}], got {k}")
+    ranked = np.empty((q.shape[0], k), dtype=np.intp)
+    buf = np.empty((_rows_per_block(8 * q.shape[1]), q.shape[1]))
+    step = _rows_per_block(8 * p.shape[0])
     # overflow and NaN are handled: such rows are rescored, and such distances raise
     with np.errstate(over="ignore", invalid="ignore"):
-        qsq, psq = _squared_norms(q), _squared_norms(p)
-        approx, err = _screen(qsq, psq, q @ p.T, metric, q.shape[1])
-        lower, upper = approx - err, approx + err
-        kth = np.partition(upper, k - 1, axis=1)[:, k - 1 : k]
-        candidate = lower <= kth
-        # a row whose bounds overflowed or met a NaN is rescored in full
-        candidate[~(np.isfinite(lower) & np.isfinite(upper)).all(axis=1)] = True
-        rows, cols = np.nonzero(candidate)
-        qn, pn = np.sqrt(qsq), np.sqrt(psq)
-        exact = np.full(approx.shape, np.inf)
-        step = _rows_per_block(3 * 8 * q.shape[1])  # q rows, p rows and one temporary
-        for lo in range(0, rows.size, step):
-            r, c = rows[lo : lo + step], cols[lo : lo + step]
-            scored = _exact(q[r], p[c], qn[r], pn[c], metric)
-            check_finite_distances(scored, metric, r, c)
-            exact[r, c] = scored
-    return np.argsort(exact, axis=1, kind="stable")[:, :k]
+        psq = _squared_norms(p, buf)
+        for lo in range(0, q.shape[0], step):
+            _rank_block(q[lo : lo + step], lo, p, psq, metric, buf, ranked[lo : lo + step])
+    return ranked
+
+
+def _rank_block(q, first_row, p, psq, metric: MetricKind, buf, ranked) -> None:
+    """Write ``top_k_classes`` of the query rows ``q``, which start at row
+    ``first_row`` of all queries, into ``ranked``; ``psq`` holds the
+    prototypes' squared norms and ``buf`` is the scratch of the exact core."""
+    k = ranked.shape[1]
+    qsq = _squared_norms(q, buf)
+    approx, err = _screen(qsq, psq, q @ p.T, metric, q.shape[1])
+    lower, upper = approx - err, approx + err
+    kth = np.partition(upper, k - 1, axis=1)[:, k - 1 : k]
+    candidate = lower <= kth
+    finite = (np.isfinite(lower) & np.isfinite(upper)).all(axis=1)
+    # a row whose bounds overflowed or met a NaN is rescored in full
+    candidate[~finite] = True
+    # With exactly k candidates, each one's upper bound is at most the k-th
+    # smallest, below every other prototype's lower bound. If their
+    # intervals, sorted by lower bound, do not overlap either, no exact
+    # distance can reorder them or tie: the screen alone ranks the row.
+    few = np.flatnonzero(finite & (np.count_nonzero(candidate, axis=1) == k))[:, None]
+    cols = np.nonzero(candidate[few[:, 0]])[1].reshape(-1, k)
+    cols = np.take_along_axis(cols, np.argsort(lower[few, cols], axis=1), axis=1)
+    apart = (upper[few, cols[:, :-1]] < lower[few, cols[:, 1:]]).all(axis=1)
+    settled = few[apart, 0]
+    ranked[settled] = cols[apart]
+    # every other row: rescore its candidates exactly and sort them
+    rest = np.setdiff1d(np.arange(q.shape[0]), settled, assume_unique=True)
+    pos, cols = np.nonzero(candidate[rest])
+    rows = rest[pos]
+    qn, pn = np.sqrt(qsq), np.sqrt(psq)
+    exact = np.full((rest.size, p.shape[0]), np.inf)
+    eucsq, dots = np.empty((2, len(buf)))
+    for lo in range(0, rows.size, len(buf)):
+        r, c = rows[lo : lo + len(buf)], cols[lo : lo + len(buf)]
+        n = len(r)
+        _sums(q[r], p[c], buf[:n], eucsq[:n], dots[:n], metric)
+        scored = _finish(eucsq[:n], dots[:n], qn[r], pn[c], metric)
+        check_finite_distances(scored, metric, first_row + r, c)
+        exact[pos[lo : lo + n], c] = scored
+    ranked[rest] = np.argsort(exact, axis=1, kind="stable")[:, :k]

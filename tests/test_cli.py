@@ -329,6 +329,21 @@ def test_eval_out_row_names_the_evaluated_modalities(cfg_path, tmp_path, capsys)
     assert out.read_text().splitlines()[1].startswith("A,s2v,ec:0.9,")
 
 
+def test_out_of_memory_is_an_error_line(cfg_path, tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data"
+    assert dispatch(["synth", "--config", str(cfg_path), "--out", str(data)]) == 0
+    message = "Unable to allocate 469. MiB for an array with shape (60000, 1024) and data type float64"
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("zsl_embed.cli.train", exhausted)
+    capsys.readouterr()
+    argv = ["train", "--config", str(cfg_path), "--data", str(data), "--out", str(tmp_path / "m.ckpt")]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+
+
 def test_log_env_values(monkeypatch, capsys):
     for value in ("debug", "nonsense"):
         monkeypatch.setenv("ZSL_EMBED_LOG", value)

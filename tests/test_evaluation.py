@@ -259,6 +259,22 @@ def test_evaluate_rejects_non_finite_distances(metric):
         hubness_skewness(distances, 1)
 
 
+def test_prediction_distances_names_the_first_non_finite_entry(monkeypatch):
+    ds = build_dataset()
+    model = build_model(ds)
+
+    def planted(queries, prototypes, metric):
+        dist = np.zeros((len(queries), len(prototypes)))
+        dist[4, 0] = np.nan
+        dist[3, 2] = dist[3, 5] = np.inf
+        return dist
+
+    monkeypatch.setattr(evaluation, "pairwise_distances", planted)
+    message = "non-finite ec:0.9 distance inf between query row 3 and prototype row 2$"
+    with pytest.raises(ValueError, match=message):
+        prediction_distances(model, ds, MetricKind.ec(0.9), ("A", "B"))
+
+
 def test_prediction_distances_dim_guard():
     ds = build_dataset()
     cfg = NetConfig(modality_dims=ds.modality_dims(), head_hidden=5, head_out=4,

@@ -175,14 +175,17 @@ def test_pairwise_zero_row_cosine_convention():
 @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.kind)
 def test_pairwise_blocks_match_double_loop_bitwise(metric):
     rng = np.random.default_rng(7)
-    q = rng.normal(size=(7, 2048))
-    p = rng.normal(size=(50, 2048))
+    dim = 2048
+    per_block = metric_module._BLOCK_BYTES // (8 * dim)  # query rows scored per prototype pass
+    n_q = 2 * per_block + 3
+    assert per_block >= 1 and n_q // per_block >= 2 and n_q % per_block  # two blocks and a ragged tail
+    q = rng.normal(size=(n_q, dim))
+    p = rng.normal(size=(50, dim))
     q[2] = p[4]
+    q[-1] = p[7]
     p[9] = 0.0
-    per_block = metric_module._BLOCK_BYTES // (8 * p.size)
-    assert 1 <= per_block < 7 and 7 % per_block  # several blocks and a ragged tail
     d = pairwise_distances(q, p, metric)
-    for i in range(7):
+    for i in range(n_q):
         for c in range(50):
             assert d[i, c] == metric_distance(q[i], p[c], metric)
 
@@ -313,3 +316,93 @@ def test_top_k_rejects_non_finite_distances():
     p[1, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         top_k_classes(np.zeros((2, 2)), p, MetricKind.ec(0.9), 1)
+
+
+# Row 70 and prototype 3 of each plant score inf or NaN only against each
+# other: opposite points whose difference squares past the float64 range,
+# or, under cosine, two points whose squared norms both overflow.
+OVERFLOW_PLANTS = {"euclidean": (9e153, -9e153), "cosine": (1e200, 1e200), "ec": (9e153, -9e153)}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.kind)
+def test_top_k_names_the_first_overflowing_pair_in_a_later_block(metric):
+    rng = np.random.default_rng(4)
+    q = rng.normal(size=(100, 2))
+    p = rng.normal(size=(2000, 2))
+    assert metric_module._BLOCK_BYTES // (8 * len(p)) < 70  # row 70 is not in the first block
+    q[70, 0], p[3, 0] = OVERFLOW_PLANTS[metric.kind]
+    bad = ~np.isfinite(pairwise_distances(q, p, metric))
+    assert np.argwhere(bad).tolist() == [[70, 3]]
+    message = f"non-finite {metric.label()} distance .* query row 70 and prototype row 3$"
+    with pytest.raises(ValueError, match=message):
+        top_k_classes(q, p, metric, 3)
+
+
+def rescored_pairs(monkeypatch, q, p) -> list:
+    """Spy on the exact core: one entry per pair it scores, the query row
+    and the prototype rows equal to the one scored."""
+    pairs = []
+    core = metric_module._sums
+
+    def spy(x, y, *rest):
+        for xi, yi in zip(x, np.broadcast_to(y, x.shape)):
+            row = int(np.flatnonzero((q == xi).all(axis=1))[0])
+            pairs.append((row, tuple(np.flatnonzero((p == yi).all(axis=1)).tolist())))
+        core(x, y, *rest)
+
+    monkeypatch.setattr(metric_module, "_sums", spy)
+    return pairs
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.kind)
+def test_top_k_rescores_no_pair_of_well_separated_rows(metric, monkeypatch):
+    rng = np.random.default_rng(2)
+    q = rng.normal(size=(20, 16))
+    p = rng.normal(size=(12, 16))
+    want = np.argsort(pairwise_distances(q, p, metric), axis=1, kind="stable")
+    pairs = rescored_pairs(monkeypatch, q, p)
+    for k in (1, 3, 12):
+        np.testing.assert_array_equal(top_k_classes(q, p, metric, k), want[:, :k])
+    assert pairs == []
+
+
+@pytest.mark.parametrize("plant", ["duplicate", "ulp"])
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.kind)
+def test_top_k_rescores_every_candidate_of_a_row_with_a_tie(metric, plant, monkeypatch):
+    rng = np.random.default_rng(5)
+    p = rng.normal(size=(9, 16))
+    p[5] = p[2]
+    if plant == "ulp":  # one coordinate one step away: the distances tie or nearly
+        p[5, 0] = np.nextafter(p[2, 0], np.inf)
+    q = p[[1, 2, 7]] + rng.normal(scale=1e-3, size=(3, 16))  # row 1 is nearest to 2 and 5
+    want = np.argsort(pairwise_distances(q, p, metric), axis=1, kind="stable")
+    assert set(want[1, :2]) == {2, 5}
+    both = [(1, (2, 5))] * 2 if plant == "duplicate" else [(1, (2,)), (1, (5,))]
+    pairs = rescored_pairs(monkeypatch, q, p)
+    # row 1 keeps two candidates for k = 1, the others one each
+    np.testing.assert_array_equal(top_k_classes(q, p, metric, 1), want[:, :1])
+    assert sorted(pairs) == both
+    pairs.clear()
+    # exactly k = 2 candidates, but their bounds overlap
+    np.testing.assert_array_equal(top_k_classes(q[1:2], p, metric, 2), want[1:2, :2])
+    assert sorted(pairs) == both
+
+
+def test_top_k_memory_grows_with_queries_only_by_the_ranks():
+    rng = np.random.default_rng(0)
+    p = rng.normal(size=(1000, 64))
+    peaks = []
+    for n_q in (20_000, 80_000):
+        q = rng.normal(size=(n_q, 64))
+        tracemalloc.start()
+        try:
+            top_k_classes(q, p, MetricKind.ec(0.9), 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # checked before the larger size runs: one 20,000 x 1,000 float64
+        # matrix alone is 153 MiB, and an unblocked ranking holds about 13
+        assert peaks[-1] < 64 * 2**20, f"peak {peaks[-1] / 2**20:.1f} MiB at {n_q} queries"
+    ranks = 60_000 * 5 * np.dtype(np.intp).itemsize
+    assert peaks[1] - peaks[0] <= ranks + 2**16, f"grew {(peaks[1] - peaks[0]) / 2**20:.2f} MiB"
