@@ -4,8 +4,8 @@
 ``eta = 0`` it reduces to squared Euclidean distance; larger ``eta`` lets
 angular agreement discount the Euclidean term, which can change the
 nearest class relative to plain Euclidean ranking. All distances are
-computed in double precision with elementwise reductions so that a
-brute-force per-pair evaluation reproduces them bit for bit.
+computed in double precision, each exact sum as one BLAS dot per pair
+(``_dot``), so that a per-pair evaluation reproduces them bit for bit.
 
 One exact core (``_sums`` and ``_finish``) computes every exact distance.
 ``pairwise_distances`` streams each prototype through cache-sized blocks
@@ -68,23 +68,36 @@ class MetricKind:
         return cls(text)
 
 
+# OpenBLAS spreads a ddot of more than 10,000 terms over its threads, which
+# makes the sum's rounding depend on the thread count; no chunk is that long
+_DOT_CHUNK = 8192
+
+
+def _dot(x, y, out=None):
+    """``sum(x * y)`` over the last axis (broadcast), as BLAS dots of chunks
+    of at most ``_DOT_CHUNK`` columns added left to right. Rows must be
+    contiguous: a strided row takes another BLAS kernel, with other rounding."""
+    out = np.vecdot(x[..., :_DOT_CHUNK], y[..., :_DOT_CHUNK], out=out)
+    for lo in range(_DOT_CHUNK, x.shape[-1], _DOT_CHUNK):
+        out += np.vecdot(x[..., lo : lo + _DOT_CHUNK], y[..., lo : lo + _DOT_CHUNK])
+    return out
+
+
 def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"vector length mismatch: {a.shape} vs {b.shape}")
-    return a, b
+    return np.ascontiguousarray(a), np.ascontiguousarray(b)
 
 
 def cosine_sim(a, b) -> float:
     """Cosine similarity in [-1, 1]; 0 by convention when either norm is 0."""
     a, b = _check_pair(a, b)
-    na = np.sqrt(np.sum(a * a))
-    nb = np.sqrt(np.sum(b * b))
+    na, nb = np.sqrt(_dot(a, a)), np.sqrt(_dot(b, b))
     if na == 0.0 or nb == 0.0:
         return 0.0
     # clip ULP overshoot so downstream (1 - eta*cos) stays non-negative
-    return float(np.clip(np.sum(a * b) / (na * nb), -1.0, 1.0))
+    return float(np.clip(_dot(a, b) / (na * nb), -1.0, 1.0))
 
 
 def ec_distance(a, b, eta: float) -> float:
@@ -93,7 +106,7 @@ def ec_distance(a, b, eta: float) -> float:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     a, b = _check_pair(a, b)
     d = a - b
-    return float((1.0 - eta * cosine_sim(a, b)) * np.sum(d * d))
+    return float((1.0 - eta * cosine_sim(a, b)) * _dot(d, d))
 
 
 def metric_distance(a, b, metric: MetricKind) -> float:
@@ -101,7 +114,7 @@ def metric_distance(a, b, metric: MetricKind) -> float:
     if metric.kind == "euclidean":
         a, b = _check_pair(a, b)
         d = a - b
-        return float(np.sum(d * d))
+        return float(_dot(d, d))
     if metric.kind == "cosine":
         return 1.0 - cosine_sim(a, b)
     return ec_distance(a, b, metric.eta)
@@ -132,35 +145,18 @@ def _rows_per_block(row_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // max(row_bytes, 1))
 
 
-def _squared_norms(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Each row's sum of squares, reduced as ``metric_distance`` reduces it.
-
-    ``buf`` is a scratch block of rows as long as ``x``'s.
-    """
-    out = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], len(buf)):
-        block = x[lo : lo + len(buf)]
-        scratch = buf[: len(block)]
-        np.multiply(block, block, out=scratch)
-        np.add.reduce(scratch, axis=1, out=out[lo : lo + len(block)])
-    return out
-
-
 def _sums(x, y, buf, eucsq, dots, metric: MetricKind) -> None:
     """The exact core: ``eucsq[i] = sum((x[i] - y[i])**2)`` and
     ``dots[i] = sum(x[i] * y[i])``, each written only if ``metric`` uses it.
 
     ``y`` is one row, broadcast against every row of ``x``, or as many
-    rows as ``x``; ``buf`` is a scratch of ``x``'s shape. Each sum runs
-    over one contiguous row, as ``metric_distance`` sums one pair.
+    rows as ``x``; ``buf`` is a scratch of ``x``'s shape. Each sum is
+    ``_dot`` of one pair of rows, as ``metric_distance`` sums one pair.
     """
     if metric.kind != "cosine":
-        np.subtract(x, y, out=buf)
-        np.multiply(buf, buf, out=buf)
-        np.add.reduce(buf, axis=1, out=eucsq)
+        _dot(np.subtract(x, y, out=buf), buf, out=eucsq)
     if metric.kind != "euclidean":
-        np.multiply(x, y, out=buf)
-        np.add.reduce(buf, axis=1, out=dots)
+        _dot(x, y, out=dots)
 
 
 def _finish(eucsq, dots, qn, pn, metric: MetricKind) -> np.ndarray:
@@ -180,10 +176,10 @@ def pairwise_distances(queries, prototypes, metric: MetricKind) -> np.ndarray:
     """Distance matrix (queries x prototypes) under the selected metric.
 
     Accepts a FeatureMatrix or a 2-D array for ``queries``. Entry (i, c)
-    equals ``metric_distance(queries[i], prototypes[c], metric)`` exactly;
-    reductions are elementwise (no BLAS accumulation) to keep per-entry
-    results identical to a scalar double loop. Each prototype is scored
-    against one block of ``_BLOCK_BYTES`` of query rows at a time, into
+    equals ``metric_distance(queries[i], prototypes[c], metric)`` exactly:
+    both sum each pair with ``_dot``, never with a GEMM, whose blocking
+    rounds each entry its own way. Each prototype is scored against one
+    block of ``_BLOCK_BYTES`` of query rows at a time, into
     one scratch block allocated per call; cos, its clip and the EC weight
     are then applied once over the whole matrix.
     """
@@ -198,7 +194,7 @@ def pairwise_distances(queries, prototypes, metric: MetricKind) -> np.ndarray:
             hi = lo + len(block)
             for c, proto in enumerate(p):
                 _sums(block, proto, buf[: len(block)], eucsq[c, lo:hi], dots[c, lo:hi], metric)
-        qn, pn = np.sqrt(_squared_norms(q, buf)), np.sqrt(_squared_norms(p, buf))
+        qn, pn = np.sqrt(_dot(q, q)), np.sqrt(_dot(p, p))
         dist = _finish(eucsq, dots, qn[None, :], pn[:, None], metric)
     return np.ascontiguousarray(dist.T)
 
@@ -221,8 +217,8 @@ def _screen(qsq, psq, dots, metric: MetricKind, dim: int) -> tuple[np.ndarray, n
     Each bound covers the distance of the exact core whatever order either
     side sums in: 4(d + 4) eps (|q| + |p|)^2 for the squared Euclidean
     part, 8(d + 4) eps for the cosine (plus an underflow term each), and
-    their composition for ``ec``. That is about four times the worst
-    case of ``d`` rounded products and sums on both sides.
+    their composition for ``ec``: about four times the standard bound of a
+    ``d``-term dot product on both sides, in any order, with or without FMA.
     """
     eps = np.finfo(np.float64).eps
     tiny = np.finfo(np.float64).smallest_subnormal
@@ -269,7 +265,7 @@ def top_k_classes(queries, prototypes, metric: MetricKind, k: int) -> np.ndarray
     step = _rows_per_block(8 * p.shape[0])
     # overflow and NaN are handled: such rows are rescored, and such distances raise
     with np.errstate(over="ignore", invalid="ignore"):
-        psq = _squared_norms(p, buf)
+        psq = _dot(p, p)
         for lo in range(0, q.shape[0], step):
             _rank_block(q[lo : lo + step], lo, p, psq, metric, buf, ranked[lo : lo + step])
     return ranked
@@ -280,7 +276,7 @@ def _rank_block(q, first_row, p, psq, metric: MetricKind, buf, ranked) -> None:
     ``first_row`` of all queries, into ``ranked``; ``psq`` holds the
     prototypes' squared norms and ``buf`` is the scratch of the exact core."""
     k = ranked.shape[1]
-    qsq = _squared_norms(q, buf)
+    qsq = _dot(q, q)
     approx, err = _screen(qsq, psq, q @ p.T, metric, q.shape[1])
     lower, upper = approx - err, approx + err
     kth = np.partition(upper, k - 1, axis=1)[:, k - 1 : k]

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,8 +95,7 @@ def test_ec_symmetric_and_nonnegative(a, b, eta):
 def test_ec_at_zero_eta_equals_euclidean_exactly(a, b):
     n = min(len(a), len(b))
     a, b = a[:n], b[:n]
-    diff2 = float(np.sum((np.asarray(a) - np.asarray(b)) ** 2))
-    assert ec_distance(a, b, 0.0) == diff2
+    assert ec_distance(a, b, 0.0) == metric_distance(a, b, MetricKind.euclidean())
 
 
 @given(finite_vec, finite_vec, st.floats(0, 1))
@@ -201,6 +204,35 @@ def test_pairwise_bitwise_for_column_major_inputs(metric):
             assert d[i, c] == metric_distance(q[i], p[c], metric)
 
 
+THREAD_CHILD = """
+import sys
+import numpy as np
+from zsl_embed.metric import MetricKind, metric_distance, pairwise_distances
+rng = np.random.default_rng(12)
+for dim in (2048, 20_000):
+    q, p = rng.normal(size=(3, dim)), rng.normal(size=(4, dim))
+    for m in (MetricKind.euclidean(), MetricKind.cosine(), MetricKind.ec(0.9)):
+        scalar = [metric_distance(a, b, m) for a in q for b in p]
+        for d in (pairwise_distances(q, p, m), np.array(scalar)):
+            sys.stdout.write(d.tobytes().hex())
+"""
+
+
+def test_exact_distances_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS threads a ddot of more than 10,000 terms, which changes its rounding
+    src = str(Path(metric_module.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", THREAD_CHILD],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize(
     "score",
     [pairwise_distances, lambda q, p, m: top_k_classes(q, p, m, 5)],
@@ -295,6 +327,48 @@ def test_top_k_equals_stable_argsort_of_exact_distances(case):
     q, p, metric, k = case
     want = np.argsort(pairwise_distances(q, p, metric), axis=1, kind="stable")[:, :k]
     np.testing.assert_array_equal(top_k_classes(q, p, metric, k), want)
+
+
+SIX_METRICS = ALL_METRICS[:2] + tuple(MetricKind.ec(e) for e in (0.0, 0.5, 0.9, 1.0))
+
+
+@st.composite
+def screen_case(draw):
+    """Queries and prototypes scaled by 1e-160 (products underflow to
+    subnormals) to 1e150, with near-duplicate and zero rows, and a common
+    offset up to 1e8 times the spread."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n_q, n_p, dim = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 64))
+    # a large common offset cancels heavily in |q|^2 + |p|^2 - 2 q.p
+    offset = draw(st.sampled_from([0.0, 1.0, 1e3, 1e8]))
+    q = rng.normal(size=(n_q, dim)) + offset
+    p = rng.normal(size=(n_p, dim)) + offset
+    for _ in range(draw(st.integers(0, 4))):
+        i, c = draw(st.integers(0, n_p - 1)), draw(st.integers(0, n_q - 1))
+        plant = draw(st.sampled_from(["near_duplicate", "zero_prototype", "zero_query"]))
+        if plant == "near_duplicate":
+            q[c] = p[i] * (1.0 + rng.normal(scale=1e-12, size=dim))
+        elif plant == "zero_prototype":
+            p[i] = 0.0
+        else:
+            q[c] = 0.0
+    scale = 10.0 ** draw(st.sampled_from([-160, -157, -150, -100, -10, 0, 10, 100, 150]))
+    return q * scale, p * scale, draw(st.sampled_from(SIX_METRICS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(screen_case())
+def test_exact_distances_lie_inside_the_screen_bounds(case):
+    q, p, metric = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        qsq, psq = metric_module._dot(q, q), metric_module._dot(p, p)
+        approx, err = metric_module._screen(qsq, psq, q @ p.T, metric, q.shape[1])
+        lower, upper = approx - err, approx + err
+    exact = pairwise_distances(q, p, metric)
+    # bounds that overflowed say nothing; top_k_classes rescores such rows in full
+    bounded = np.isfinite(lower) & np.isfinite(upper)
+    inside = (lower <= exact) & (exact <= upper)
+    assert inside[bounded].all(), np.argwhere(bounded & ~inside)
 
 
 @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.kind)
