@@ -163,6 +163,14 @@ def metric_from(entries: dict[str, str], kind: str | None, eta: float | None) ->
     return MetricKind(kind)
 
 
+def _parse_metric_label(label: str) -> MetricKind:
+    label = label.strip()
+    try:
+        return MetricKind.from_label(label)
+    except ValueError as exc:
+        raise ValueError(f"config key ablate.metrics: bad label {label!r}: {exc}") from None
+
+
 def _parse_tags(value: str) -> tuple[str, ...]:
     tags = tuple(t.strip() for t in value.split(",") if t.strip())
     if not tags:
@@ -202,8 +210,7 @@ def _cmd_train(args) -> int:
     save_checkpoint(model, out)
     history_path = out.with_name(out.stem + "_history.csv")
     save_history(history, history_path)
-    if history.losses:
-        log.info("loss %.6g -> %.6g", history.losses[0], history.losses[-1])
+    log.info("loss %.6g -> %.6g", history.losses[0], history.losses[-1])
     print(f"trained {len(history)} epochs -> {out} (history: {history_path})")
     return 0
 
@@ -243,7 +250,7 @@ def _cmd_ablate(args) -> int:
     if args.metric:
         metrics = (metric_from(entries, args.metric, args.eta),)
     elif "ablate.metrics" in entries:
-        metrics = tuple(MetricKind.from_label(m.strip()) for m in entries["ablate.metrics"].split(","))
+        metrics = tuple(_parse_metric_label(m) for m in entries["ablate.metrics"].split(","))
     else:
         metrics = (metric_from(entries, "ec", args.eta), MetricKind.euclidean())
     net_config = _net_config(entries, dataset, None, None)
@@ -263,9 +270,12 @@ def _cmd_ablate(args) -> int:
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.asarray([float(t) for t in text.split(",")], dtype=np.float64)
+        vector = np.asarray([float(t) for t in text.split(",")], dtype=np.float64)
     except ValueError:
         raise ValueError(f"bad vector {text!r}, expected comma-separated numbers") from None
+    if not np.all(np.isfinite(vector)):
+        raise ValueError(f"bad vector {text!r}, every component must be finite")
+    return vector
 
 
 def _cmd_distance(args) -> int:
@@ -293,9 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="flat key = value config file")
+    def common(p):
+        p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=int, help="override the config seed")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset directory")

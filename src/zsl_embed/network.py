@@ -344,6 +344,8 @@ def init_model(config: NetConfig, seed: int, tags: Iterable[str] | None = None) 
     net's shared layer, which are dropped, so an array has the same values
     whichever heads the model holds.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     held = config.check_active(config.tags if tags is None else tags)
     dims = {t: config.modality_dims[t] for t in held}
     model = EmbeddingModel(dataclasses.replace(config, modality_dims=dims))

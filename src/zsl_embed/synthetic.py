@@ -84,6 +84,8 @@ class SynthConfig:
             raise ValueError(f"duplicate modality tags: {sorted(tags)}")
         if not (math.isfinite(self.visual_noise_sigma) and self.visual_noise_sigma >= 0):
             raise ValueError("visual_noise_sigma must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError(f"synth seed must be >= 0, got {self.seed}")
 
 
 def _coordinate_subsets(

@@ -6,8 +6,8 @@ modalities, semantic-to-visual beats the reverse direction, the combined
 metric beats plain squared Euclidean), oracle equivalence of the evaluation
 stack, bit-level determinism, and the degenerate-input contracts. Each test
 prints one ``criterion N (...): PASS|FAIL`` line; run with ``-s`` to see
-them live. The shared five-seed benchmark bundle trains 30 small models and
-takes about half a minute.
+them live. The shared five-seed benchmark bundle trains 30 small models in
+about half a minute and prints the headline table behind criteria 3-5.
 """
 
 import time
@@ -56,32 +56,52 @@ def benchmark_net(ds, direction):
                      embed_dim=64, direction=direction, l2_lambda=5e-4)
 
 
-def benchmark_train_config(seed):
-    return TrainConfig(optimizer="adam", lr=3e-3, batch_size=64, epochs=200, seed=seed)
+def headline(runs):
+    """Means, fusion margin and win counts: what the table prints and criteria 3-5 assert on."""
+    h = {key: float(np.mean(runs[key])) for key in ("fusion_ec", "fusion_eu", "v2s_ec")}
+    h["singles"] = {tag: float(np.mean(v)) for tag, v in runs["singles"].items()}
+    h["margin"] = h["fusion_ec"] - max(h["singles"].values())
+    h["ec_wins"] = sum(a >= b for a, b in zip(runs["fusion_ec"], runs["fusion_eu"]))
+    h["hub_wins"] = sum(b >= a for a, b in zip(runs["hub_s2v"], runs["hub_v2s"]))
+    return h
 
 
 @pytest.fixture(scope="module")
 def bundle():
-    out = {
+    start = time.perf_counter()
+    runs = {
         "fusion_ec": [], "fusion_eu": [], "v2s_ec": [],
         "singles": {t: [] for t in TAGS}, "hub_s2v": [], "hub_v2s": [],
     }
     for seed in SEEDS:
         ds = generate(SynthConfig(seed=seed))
-        tc = benchmark_train_config(seed)
+        tc = TrainConfig(optimizer="adam", lr=3e-3, batch_size=64, epochs=200, seed=seed)
         m_s2v, _ = train(ds, benchmark_net(ds, S_TO_V), tc, TAGS)
-        out["fusion_ec"].append(evaluate(m_s2v, ds, EC, TAGS).top1)
-        out["fusion_eu"].append(evaluate(m_s2v, ds, EU, TAGS).top1)
+        runs["fusion_ec"].append(evaluate(m_s2v, ds, EC, TAGS).top1)
+        runs["fusion_eu"].append(evaluate(m_s2v, ds, EU, TAGS).top1)
         for tag in TAGS:
             m_one, _ = train(ds, benchmark_net(ds, S_TO_V), tc, (tag,))
-            out["singles"][tag].append(evaluate(m_one, ds, EC, (tag,)).top1)
+            runs["singles"][tag].append(evaluate(m_one, ds, EC, (tag,)).top1)
         m_v2s, _ = train(ds, benchmark_net(ds, V_TO_S), tc, TAGS)
-        out["v2s_ec"].append(evaluate(m_v2s, ds, EC, TAGS).top1)
+        runs["v2s_ec"].append(evaluate(m_v2s, ds, EC, TAGS).top1)
         d_s2v, _ = prediction_distances(m_s2v, ds, EC, TAGS)
         d_v2s, _ = prediction_distances(m_v2s, ds, EC, TAGS)
-        out["hub_s2v"].append(hubness_skewness(d_s2v, 1))
-        out["hub_v2s"].append(hubness_skewness(d_v2s, 1))
-    return out
+        runs["hub_s2v"].append(hubness_skewness(d_s2v, 1))
+        runs["hub_v2s"].append(hubness_skewness(d_v2s, 1))
+
+    h, n = headline(runs), len(SEEDS)
+    print(f"\n{6 * n} trainings in {time.perf_counter() - start:.1f}s, seeds {list(SEEDS)}")
+    print(f"fusion s2v ec  : {np.round(runs['fusion_ec'], 4)}  mean {h['fusion_ec']:.4f}")
+    for tag in TAGS:
+        print(f"single {tag} ec    : {np.round(runs['singles'][tag], 4)}  mean {h['singles'][tag]:.4f}")
+    print(f"fusion margin over best single: {h['margin']:+.4f}")
+    print(f"fusion v2s ec  : {np.round(runs['v2s_ec'], 4)}  mean {h['v2s_ec']:.4f}")
+    print(f"fusion s2v eu  : {np.round(runs['fusion_eu'], 4)}  mean {h['fusion_eu']:.4f}")
+    print(f"hubness s2v    : {np.round(runs['hub_s2v'], 4)}")
+    print(f"hubness v2s    : {np.round(runs['hub_v2s'], 4)}")
+    print(f"ec >= euclidean: {h['ec_wins']}/{n} seeds")
+    print(f"hub v2s >= s2v : {h['hub_wins']}/{n} seeds")
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -113,24 +133,16 @@ def test_criterion_2_metric_inversion():
 
 
 def test_criterion_3_fusion_beats_singles(bundle):
-    fusion = float(np.mean(bundle["fusion_ec"]))
-    best_single = max(float(np.mean(v)) for v in bundle["singles"].values())
-    report(3, "fusion beats singles",
-           fusion >= 0.80 and fusion - best_single >= 0.05)
+    report(3, "fusion beats singles", bundle["fusion_ec"] >= 0.80 and bundle["margin"] >= 0.05)
 
 
 def test_criterion_4_direction(bundle):
-    s2v = float(np.mean(bundle["fusion_ec"]))
-    v2s = float(np.mean(bundle["v2s_ec"]))
-    hub_wins = sum(
-        b >= a for a, b in zip(bundle["hub_s2v"], bundle["hub_v2s"])
-    )
-    report(4, "semantic-to-visual direction", s2v >= v2s and hub_wins >= 4)
+    report(4, "semantic-to-visual direction",
+           bundle["fusion_ec"] >= bundle["v2s_ec"] and bundle["hub_wins"] >= 4)
 
 
 def test_criterion_5_metric_choice(bundle):
-    wins = sum(a >= b for a, b in zip(bundle["fusion_ec"], bundle["fusion_eu"]))
-    report(5, "combined metric beats euclidean", wins >= 4)
+    report(5, "combined metric beats euclidean", bundle["ec_wins"] >= 4)
 
 
 def test_criterion_6_oracle_equivalence():

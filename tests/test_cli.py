@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,14 @@ def test_distance_euclidean(capsys):
 def test_distance_bad_vector(capsys):
     assert dispatch(["distance", "--metric", "euclidean", "--a", "1,oops", "--b", "0,0"]) == 1
     assert "bad vector" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a", ["nan,0", "inf,0"])
+def test_distance_rejects_a_non_finite_component(a, capsys):
+    assert dispatch(["distance", "--metric", "ec", "--a", a, "--b", "1,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad vector {a!r}, every component must be finite\n"
 
 
 def test_gradcheck_passes(capsys):
@@ -174,6 +183,13 @@ def test_readme_config_example_parses(tmp_path):
     net = _config_from(NetConfig, "net", entries, modality_dims={m.tag: m.dim for m in synth.modalities})
     train = _config_from(TrainConfig, "train", entries)
     assert (synth.n_classes, net.head_out, train.epochs) == (24, 48, 200)
+
+
+def test_readme_repo_paths_exist():
+    root = Path(__file__).resolve().parents[1]
+    cited = re.findall(r"\b(?:src|tests|scripts|bench)/[\w./-]*\w", (root / "README.md").read_text())
+    assert cited
+    assert [path for path in cited if not (root / path).exists()] == []
 
 
 def test_net_embed_dim_mismatch(cfg_path, tmp_path, capsys):
@@ -316,6 +332,39 @@ def test_ablate_default_metrics_use_config_eta(tmp_path, capsys):
     capsys.readouterr()
     metrics = {line.split(",")[2] for line in grid.read_text().splitlines()[1:]}
     assert metrics == {"ec:0.5", "euclidean"}
+
+
+def test_negative_seed_is_an_error_that_names_it_except_for_ablate(cfg_path, tmp_path, capsys):
+    cfg, data, ckpt = str(cfg_path), tmp_path / "data", tmp_path / "m.ckpt"
+    assert dispatch(["synth", "--config", cfg, "--out", str(data), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: synth seed must be >= 0, got -1\n"
+    assert not data.exists()
+    assert dispatch(["synth", "--config", cfg, "--out", str(data)]) == 0
+    assert dispatch(["train", "--config", cfg, "--data", str(data), "--out", str(ckpt),
+                     "--seed", "-3"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+    assert not ckpt.exists()
+    # ablate masks its base seed to 32 bits for each cell's seed
+    grid = tmp_path / "grid.csv"
+    assert dispatch(["ablate", "--config", cfg, "--data", str(data), "--out", str(grid),
+                     "--seed", "-1"]) == 0
+    assert len(grid.read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("label, detail", [
+    ("ec:abc", "could not convert string to float: 'abc'"),
+    ("bogus", "unknown metric kind 'bogus', expected one of"),
+], ids=["bad-eta", "unknown-kind"])
+def test_bad_ablate_metric_label_names_the_key(label, detail, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(PIPELINE_CFG.replace("ablate.metrics = ec:0.9", f"ablate.metrics = euclidean, {label}"))
+    data = tmp_path / "data"
+    assert dispatch(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert dispatch(["ablate", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "grid.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key ablate.metrics: bad label {label!r}: {detail}")
 
 
 def test_eval_out_row_names_the_evaluated_modalities(cfg_path, tmp_path, capsys):
