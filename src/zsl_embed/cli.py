@@ -9,8 +9,9 @@ verification of the analytic gradients).
 Settings come from an optional flat ``key = value`` config file with
 section prefixes (``net.head_out``, ``train.lr``, ``synth.n_classes``,
 ``metric.eta``, ``ablate.directions``); command-line flags override file
-values. The ``net``, ``train`` and ``synth`` keys are the fields of
-``NetConfig``, ``TrainConfig`` and ``SynthConfig`` that have defaults.
+values. The ``net``, ``train``, ``synth`` and ``metric`` keys are the
+fields of ``NetConfig``, ``TrainConfig``, ``SynthConfig`` and ``MetricKind``
+that have defaults.
 Unknown keys are rejected. The ``ZSL_EMBED_LOG`` environment variable
 (error, info, debug) controls log verbosity.
 """
@@ -37,7 +38,6 @@ log = logging.getLogger("zsl_embed")
 
 GRADCHECK_TOLERANCE = 1e-6
 
-_METRIC_KEYS = {"kind", "eta"}
 _ABLATE_KEYS = {"subsets", "directions", "metrics"}
 
 
@@ -84,7 +84,7 @@ def _check_keys(path: str, entries: dict[str, str]) -> None:
         "net": _config_keys(NetConfig),
         "train": _config_keys(TrainConfig),
         "synth": _config_keys(SynthConfig),
-        "metric": _METRIC_KEYS,
+        "metric": _config_keys(MetricKind),
         "ablate": _ABLATE_KEYS,
     }
     for key in entries:
@@ -153,16 +153,6 @@ def _net_config(
     return config
 
 
-def metric_from(entries: dict[str, str], kind: str | None, eta: float | None) -> MetricKind:
-    if kind is None:
-        kind = entries.get("metric.kind", "ec")
-    if eta is None:
-        eta = _parse_value("metric.eta", entries.get("metric.eta", "0.9"), float)
-    if kind == "ec":
-        return MetricKind.ec(eta)
-    return MetricKind(kind)
-
-
 def _parse_metric_label(label: str) -> MetricKind:
     label = label.strip()
     try:
@@ -222,7 +212,7 @@ def _cmd_eval(args) -> int:
     tags = model.config.check_active(
         _parse_tags(args.modalities) if args.modalities else model.config.tags
     )
-    metric = metric_from(entries, args.metric, args.eta)
+    metric = _config_from(MetricKind, "metric", entries, kind=args.metric, eta=args.eta)
     result = evaluate(model, dataset, metric, tags)
     print(
         f"top1 {result.top1:.4f} top5 {result.top5:.4f} "
@@ -248,11 +238,12 @@ def _cmd_ablate(args) -> int:
     else:
         directions = DIRECTIONS
     if args.metric:
-        metrics = (metric_from(entries, args.metric, args.eta),)
+        metrics = (_config_from(MetricKind, "metric", entries, kind=args.metric, eta=args.eta),)
     elif "ablate.metrics" in entries:
         metrics = tuple(_parse_metric_label(m) for m in entries["ablate.metrics"].split(","))
     else:
-        metrics = (metric_from(entries, "ec", args.eta), MetricKind.euclidean())
+        metrics = (_config_from(MetricKind, "metric", entries, kind="ec", eta=args.eta),
+                   MetricKind.euclidean())
     net_config = _net_config(entries, dataset, None, None)
     train_config = _config_from(TrainConfig, "train", entries, seed=args.seed)
     log.info(
@@ -279,7 +270,7 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _cmd_distance(args) -> int:
-    metric = metric_from({}, args.metric, args.eta)
+    metric = _config_from(MetricKind, "metric", {}, kind=args.metric, eta=args.eta)
     a, b = _parse_vector(args.a), _parse_vector(args.b)
     print(f"{metric_distance(a, b, metric):.6f}")
     return 0

@@ -10,7 +10,7 @@ File formats:
 * binary feature file: magic ``ZSLF``, u32 LE version (=1), u64 LE rows,
   u64 LE dim, ``rows`` u64 LE class ids, then rows*dim float32 LE values
   in row-major order;
-* semantic table file: the same layout with one row per class;
+* semantic table file: a feature file with one row per class;
 * split file: two text lines, ``seen: 0 1 ...`` and ``unseen: 144 ...``.
 """
 
@@ -266,20 +266,6 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     return FeatureMatrix(values, labels)  # converted to float64 / int64 copies there
 
 
-def save_semantic_table(table: SemanticTable, path: str | Path) -> None:
-    """Write a semantic table as a feature file with one row per class."""
-    save_feature_matrix(table.vectors, path)
-
-
-def load_semantic_table(path: str | Path, modality: ModalityTag) -> SemanticTable:
-    """Read a per-class semantic table; duplicate class rows are rejected."""
-    m = load_feature_matrix(path)
-    try:
-        return SemanticTable(modality, m)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def save_split(seen: Iterable[ClassId], unseen: Iterable[ClassId], path: str | Path) -> None:
     seen_line = " ".join(str(int(c)) for c in sorted(seen))
     unseen_line = " ".join(str(int(c)) for c in sorted(unseen))
@@ -310,7 +296,7 @@ def save_dataset(dataset: Dataset, directory: str | Path) -> None:
     save_feature_matrix(dataset.test_visual, directory / TEST_VISUAL_FILE)
     save_split(dataset.seen, dataset.unseen, directory / SPLIT_FILE)
     for table in dataset.semantics:
-        save_semantic_table(table, directory / f"{SEMANTIC_PREFIX}{table.modality}.zslf")
+        save_feature_matrix(table.vectors, directory / f"{SEMANTIC_PREFIX}{table.modality}.zslf")
 
 
 def load_dataset(directory: str | Path) -> Dataset:
@@ -324,8 +310,11 @@ def load_dataset(directory: str | Path) -> Dataset:
     seen, unseen = load_split(directory / SPLIT_FILE)
     tables = []
     for path in sorted(directory.glob(f"{SEMANTIC_PREFIX}*.zslf")):
-        tag = path.stem[len(SEMANTIC_PREFIX):]
-        tables.append(load_semantic_table(path, tag))
+        vectors = load_feature_matrix(path)
+        try:
+            tables.append(SemanticTable(path.stem[len(SEMANTIC_PREFIX):], vectors))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not tables:
         raise ValueError(f"no semantic tables ({SEMANTIC_PREFIX}*.zslf) in {directory}")
     return Dataset(visual, test_visual, tables, seen, unseen)

@@ -172,7 +172,7 @@ def hubness_skewness(dist_matrix: np.ndarray, k: int) -> float:
 def cell_seed(base_seed: int, modalities: Iterable[str], direction: str) -> int:
     """Deterministic per-cell training seed; distinct cells get distinct streams."""
     key = "+".join(sorted(modalities)) + "|" + direction
-    return zlib.crc32(key.encode("utf-8"), base_seed & 0xFFFFFFFF)
+    return zlib.crc32(key.encode("utf-8"), base_seed)
 
 
 # the dataset a pool worker of ``ablate`` trains on, sent once per worker
@@ -223,6 +223,10 @@ def ablate(
         raise ValueError("no metrics given")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    # crc32 takes its start value modulo 2**32, so outside this range
+    # two base seeds would train the same grid
+    if not 0 <= train_config.seed < 2**32:
+        raise ValueError(f"ablate seed must be in [0, {2**32}), got {train_config.seed}")
     tasks = []
     for subset in subsets:
         canon = tuple(sorted(set(subset)))

@@ -20,8 +20,6 @@ import dataclasses
 
 import numpy as np
 
-from zsl_embed.data import FeatureMatrix
-
 METRIC_KINDS = ("euclidean", "cosine", "ec")
 
 
@@ -29,16 +27,20 @@ METRIC_KINDS = ("euclidean", "cosine", "ec")
 class MetricKind:
     """Distance selector: squared Euclidean, cosine distance, or EC.
 
-    ``eta`` weights the cosine term and is meaningful only for ``ec``.
+    The defaults are the paper's metric, EC at ``eta = 0.9``. ``eta``
+    weights the cosine term and is meaningful only for ``ec``; any other
+    kind stores it as 0.0, whatever it was given.
     """
 
-    kind: str
-    eta: float = 0.0
+    kind: str = "ec"
+    eta: float = 0.9
 
     def __post_init__(self) -> None:
         if self.kind not in METRIC_KINDS:
             raise ValueError(f"unknown metric kind {self.kind!r}, expected one of {METRIC_KINDS}")
-        if not 0.0 <= self.eta <= 1.0:
+        if self.kind != "ec":
+            object.__setattr__(self, "eta", 0.0)
+        elif not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
 
     @classmethod
@@ -50,8 +52,8 @@ class MetricKind:
         return cls("cosine")
 
     @classmethod
-    def ec(cls, eta: float = 0.9) -> "MetricKind":
-        return cls("ec", eta)
+    def ec(cls, eta: float | None = None) -> "MetricKind":
+        return cls() if eta is None else cls("ec", eta)
 
     def label(self) -> str:
         """Short text form used in reports, e.g. ``ec:0.9``."""
@@ -63,8 +65,6 @@ class MetricKind:
     def from_label(cls, text: str) -> "MetricKind":
         if text.startswith("ec:"):
             return cls("ec", float(text[3:]))
-        if text == "ec":
-            return cls("ec", 0.9)
         return cls(text)
 
 
@@ -127,8 +127,6 @@ _BLOCK_BYTES = 512 << 10
 
 
 def _as_matrices(queries, prototypes) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(queries, FeatureMatrix):
-        queries = queries.values
     # row-major, so every reduction over the last axis runs in one order
     q = np.ascontiguousarray(queries, dtype=np.float64)
     p = np.ascontiguousarray(prototypes, dtype=np.float64)
@@ -159,14 +157,22 @@ def _sums(x, y, buf, eucsq, dots, metric: MetricKind) -> None:
         _dot(x, y, out=dots)
 
 
+def _cosine(dots, qn, pn) -> tuple[np.ndarray, np.ndarray]:
+    """Cosines from dot products and the norms of both sides, which
+    broadcast to the shape of ``dots``, and the products of those norms.
+    A cosine is 0 where either norm is 0 and clipped to [-1, 1]."""
+    denom = qn * pn
+    cos = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+    np.clip(cos, -1.0, 1.0, out=cos)
+    return cos, denom
+
+
 def _finish(eucsq, dots, qn, pn, metric: MetricKind) -> np.ndarray:
     """Distances from the sums of ``_sums`` and the norms of both sides,
     elementwise; ``qn`` and ``pn`` broadcast to the shape of the sums."""
     if metric.kind == "euclidean":
         return eucsq
-    denom = qn * pn
-    cos = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
-    np.clip(cos, -1.0, 1.0, out=cos)
+    cos, _ = _cosine(dots, qn, pn)
     if metric.kind == "cosine":
         return 1.0 - cos
     return (1.0 - metric.eta * cos) * eucsq
@@ -175,13 +181,12 @@ def _finish(eucsq, dots, qn, pn, metric: MetricKind) -> np.ndarray:
 def pairwise_distances(queries, prototypes, metric: MetricKind) -> np.ndarray:
     """Distance matrix (queries x prototypes) under the selected metric.
 
-    Accepts a FeatureMatrix or a 2-D array for ``queries``. Entry (i, c)
-    equals ``metric_distance(queries[i], prototypes[c], metric)`` exactly:
-    both sum each pair with ``_dot``, never with a GEMM, whose blocking
-    rounds each entry its own way. Each prototype is scored against one
-    block of ``_BLOCK_BYTES`` of query rows at a time, into
-    one scratch block allocated per call; cos, its clip and the EC weight
-    are then applied once over the whole matrix.
+    Entry (i, c) equals ``metric_distance(queries[i], prototypes[c],
+    metric)`` exactly: both sum each pair with ``_dot``, never with a GEMM,
+    whose blocking rounds each entry its own way. Each prototype is scored
+    against one block of ``_BLOCK_BYTES`` of query rows at a time, into one
+    scratch block allocated per call; cos, its clip and the EC weight are
+    then applied once over the whole matrix.
     """
     q, p = _as_matrices(queries, prototypes)
     buf = np.empty((_rows_per_block(8 * q.shape[1]), q.shape[1]))
@@ -225,9 +230,7 @@ def _screen(qsq, psq, dots, metric: MetricKind, dim: int) -> tuple[np.ndarray, n
     c = 4.0 * (dim + 4)
     qn, pn = np.sqrt(qsq)[:, None], np.sqrt(psq)[None, :]
     if metric.kind != "euclidean":
-        denom = qn * pn
-        cos = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
-        np.clip(cos, -1.0, 1.0, out=cos)
+        cos, denom = _cosine(dots, qn, pn)
         # eps + tiny / denom rounds to eps wherever denom >= 1, so only
         # smaller denominators are divided: a subnormal quotient is slow
         under = np.divide(tiny, denom, out=np.zeros_like(denom), where=(denom > 0) & (denom < 1.0))

@@ -409,6 +409,8 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
     values so no ReLU preactivation sits exactly at its kink, where the
     one-sided subgradient convention and central differences disagree.
     """
+    if seed < 0:
+        raise ValueError(f"gradcheck seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     all_tags = ("C", "I", "T", "W")
     subsets = []

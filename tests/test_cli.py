@@ -7,6 +7,7 @@ import pytest
 
 from zsl_embed.cli import _config_from, dispatch, read_config_file
 from zsl_embed.evaluation import REPORT_HEADER
+from zsl_embed.metric import MetricKind
 from zsl_embed.network import NetConfig, V_TO_S
 from zsl_embed.synthetic import SynthConfig
 from zsl_embed.training import TrainConfig, load_checkpoint
@@ -145,7 +146,8 @@ def config_text(value) -> str:
 
 @pytest.mark.parametrize(
     "cls, section, given",
-    [(NetConfig, "net", {"modality_dims": {"A": 5}}), (TrainConfig, "train", {}), (SynthConfig, "synth", {})],
+    [(NetConfig, "net", {"modality_dims": {"A": 5}}), (TrainConfig, "train", {}), (SynthConfig, "synth", {}),
+     (MetricKind, "metric", {})],
 )
 def test_every_config_field_is_a_key_and_its_default_parses_back(cls, section, given, tmp_path):
     fields = [f for f in dataclasses.fields(cls) if f.name not in given]
@@ -334,7 +336,7 @@ def test_ablate_default_metrics_use_config_eta(tmp_path, capsys):
     assert metrics == {"ec:0.5", "euclidean"}
 
 
-def test_negative_seed_is_an_error_that_names_it_except_for_ablate(cfg_path, tmp_path, capsys):
+def test_negative_seed_is_an_error_that_names_it(cfg_path, tmp_path, capsys):
     cfg, data, ckpt = str(cfg_path), tmp_path / "data", tmp_path / "m.ckpt"
     assert dispatch(["synth", "--config", cfg, "--out", str(data), "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: synth seed must be >= 0, got -1\n"
@@ -344,11 +346,45 @@ def test_negative_seed_is_an_error_that_names_it_except_for_ablate(cfg_path, tmp
                      "--seed", "-3"]) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
     assert not ckpt.exists()
-    # ablate masks its base seed to 32 bits for each cell's seed
     grid = tmp_path / "grid.csv"
     assert dispatch(["ablate", "--config", cfg, "--data", str(data), "--out", str(grid),
-                     "--seed", "-1"]) == 0
+                     "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: ablate seed must be in [0, 4294967296), got -1\n"
+    assert not grid.exists()
+    assert dispatch(["gradcheck", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: gradcheck seed must be >= 0, got -1\n"
+
+
+def test_ablate_seed_must_fit_in_32_bits(cfg_path, tmp_path, capsys):
+    cfg, data, grid = str(cfg_path), tmp_path / "data", tmp_path / "grid.csv"
+    assert dispatch(["synth", "--config", cfg, "--out", str(data)]) == 0
+    ablate = ["ablate", "--config", cfg, "--data", str(data), "--out", str(grid), "--seed"]
+    assert dispatch([*ablate, "4294967296"]) == 1
+    assert capsys.readouterr().err == "error: ablate seed must be in [0, 4294967296), got 4294967296\n"
+    assert not grid.exists()
+    assert dispatch([*ablate, "4294967295"]) == 0
     assert len(grid.read_text().splitlines()) == 4
+
+
+def test_eval_prints_one_metric_label_from_flags_or_config(cfg_path, tmp_path, capsys):
+    cfg, data, ckpt = str(cfg_path), tmp_path / "data", tmp_path / "m.ckpt"
+    assert dispatch(["synth", "--config", cfg, "--out", str(data)]) == 0
+    assert dispatch(["train", "--config", cfg, "--data", str(data), "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    metric_cfg = tmp_path / "metric.cfg"
+    for flags, lines, label in [
+        ([], "", "ec:0.9"),
+        (["--metric", "ec", "--eta", "0.5"], "metric.eta = 0.5\n", "ec:0.5"),
+        (["--metric", "cosine", "--eta", "0.5"], "metric.kind = cosine\nmetric.eta = 0.5\n", "cosine"),
+        (["--metric", "euclidean"], "metric.kind = euclidean\n", "euclidean"),
+    ]:
+        metric_cfg.write_text(lines)
+        outs = []
+        for argv in (flags, ["--config", str(metric_cfg)]):
+            assert dispatch(["eval", "--checkpoint", str(ckpt), "--data", str(data), *argv]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert f", metric {label}, " in outs[0]
 
 
 @pytest.mark.parametrize("label, detail", [

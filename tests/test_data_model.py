@@ -15,11 +15,9 @@ from zsl_embed.data import (
     class_prototypes,
     load_dataset,
     load_feature_matrix,
-    load_semantic_table,
     load_split,
     save_dataset,
     save_feature_matrix,
-    save_semantic_table,
     save_split,
 )
 
@@ -332,24 +330,25 @@ def test_feature_reader_rejects_huge_header_dims(tmp_path):
 
 
 def test_semantic_table_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    rows = rng.normal(size=(3, 4)).astype(np.float32).astype(np.float64)
-    table = SemanticTable("C", FeatureMatrix(rows, [3, 1, 8]))
-    p = tmp_path / "semantic_C.zslf"
-    save_semantic_table(table, p)
-    back = load_semantic_table(p, "C")
-    assert back.vectors.labels.tolist() == [1, 3, 8]
+    ds = toy_dataset()
+    rows = np.random.default_rng(2).normal(size=(5, 4)).astype(np.float32).astype(np.float64)
+    table = SemanticTable("C", FeatureMatrix(rows, [3, 1, 4, 0, 2]))
+    save_dataset(Dataset(ds.visual, ds.test_visual, [table], ds.seen, ds.unseen), tmp_path / "ds")
+    back = load_dataset(tmp_path / "ds").table("C")
+    assert back.vectors.labels.tolist() == [0, 1, 2, 3, 4]
     np.testing.assert_array_equal(back.vectors.values, table.vectors.values)
     # the rows' arrival order does not reach the file
-    save_semantic_table(SemanticTable("C", FeatureMatrix(rows[[1, 0, 2]], [1, 3, 8])), tmp_path / "sorted.zslf")
-    assert (tmp_path / "sorted.zslf").read_bytes() == p.read_bytes()
+    ordered = SemanticTable("C", FeatureMatrix(rows[[3, 1, 4, 0, 2]], range(5)))
+    save_feature_matrix(ordered.vectors, tmp_path / "ordered.zslf")
+    assert (tmp_path / "ordered.zslf").read_bytes() == (tmp_path / "ds" / "semantic_C.zslf").read_bytes()
 
 
-def test_load_semantic_table_rejects_duplicate_classes(tmp_path):
-    p = tmp_path / "semantic_T.zslf"
+def test_load_dataset_rejects_duplicate_semantic_classes(tmp_path):
+    save_dataset(toy_dataset(), tmp_path / "ds")
+    p = tmp_path / "ds" / "semantic_T.zslf"
     save_feature_matrix(FeatureMatrix(np.ones((3, 2)), [4, 2, 4]), p)
-    with pytest.raises(ValueError, match=r"semantic_T\.zslf: duplicate class 4 in semantic table"):
-        load_semantic_table(p, "T")
+    with pytest.raises(ValueError, match=r"semantic_T\.zslf: duplicate class 4 in semantic table for modality T"):
+        load_dataset(tmp_path / "ds")
 
 
 def test_split_round_trip(tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zsl_embed import metric as metric_module
-from zsl_embed.data import FeatureMatrix
 from zsl_embed.metric import (
     MetricKind,
     cosine_sim,
@@ -117,6 +116,13 @@ def test_metric_kind_labels():
         MetricKind("manhattan")
 
 
+def test_metric_kind_defaults_to_the_paper_metric_and_ignores_eta_elsewhere():
+    assert MetricKind() == MetricKind.ec() == MetricKind.from_label("ec") == MetricKind("ec", 0.9)
+    assert MetricKind("cosine", 0.5) == MetricKind.cosine()
+    assert MetricKind("euclidean", 2.0) == MetricKind.euclidean()
+    assert MetricKind("cosine", 0.5).label() == "cosine"
+
+
 def test_metric_distance_dispatch():
     a, b = [1.0, 0.0], [0.0, 1.0]
     assert metric_distance(a, b, MetricKind.euclidean()) == 2.0
@@ -140,12 +146,6 @@ def test_pairwise_ec_instance():
         MetricKind.ec(0.9),
     )
     np.testing.assert_allclose(d, [[0.0360, 0.0618353]], atol=1e-4)
-
-
-def test_pairwise_accepts_feature_matrix():
-    m = FeatureMatrix(np.array([[1.0, 0.0]]), np.array([0]))
-    d = pairwise_distances(m, np.array([[0.0, 1.0]]), MetricKind.euclidean())
-    assert d[0, 0] == 2.0
 
 
 def test_pairwise_dim_mismatch():
