@@ -109,11 +109,9 @@ def _parse_modality_specs(value: str) -> tuple[ModalitySpec, ...]:
             raise ValueError(
                 f"bad modality spec {item!r}, expected TAG:dim[:fraction[:sigma]]"
             )
-        tag = parts[0]
-        dim = _parse_value("synth.modalities", parts[1], int)
-        fraction = _parse_value("synth.modalities", parts[2], float) if len(parts) > 2 else 0.5
-        sigma = _parse_value("synth.modalities", parts[3], float) if len(parts) > 3 else 0.05
-        specs.append(ModalitySpec(tag, dim, fraction, sigma))
+        given = [_parse_value("synth.modalities", v, kind)
+                 for v, kind in zip(parts[1:], (int, float, float))]
+        specs.append(ModalitySpec(parts[0], *given))  # its defaults fill the parts not given
     return tuple(specs)
 
 

@@ -225,11 +225,10 @@ def save_feature_matrix(m: FeatureMatrix, path: str | Path) -> None:
     bad = ~np.isfinite(payload).all(axis=1)
     if bad.any():
         raise ValueError(f"value overflows float32 at row {int(np.flatnonzero(bad)[0])}")
-    buf = bytearray()
-    buf += _FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, m.rows, m.dim)
-    buf += m.labels.astype("<u8").tobytes()
-    buf += payload.tobytes()
-    Path(path).write_bytes(buf)
+    with open(path, "wb") as f:
+        f.write(_FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, m.rows, m.dim))
+        f.write(m.labels.astype("<u8"))
+        f.write(payload)
 
 
 def load_feature_matrix(path: str | Path) -> FeatureMatrix:
@@ -259,11 +258,10 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
         raise ValueError(f"{path}: class id out of range")
     off += rows * 8
     values = np.frombuffer(data, dtype="<f4", count=rows * dim, offset=off).reshape(rows, dim)
-    finite_rows = np.isfinite(values).all(axis=1)
-    if not finite_rows.all():
-        bad = int(np.flatnonzero(~finite_rows)[0])
-        raise ValueError(f"{path}: non-finite value at row {bad}")
-    return FeatureMatrix(values, labels)  # converted to float64 / int64 copies there
+    try:
+        return FeatureMatrix(values, labels)  # converted to float64 / int64 copies there
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_split(seen: Iterable[ClassId], unseen: Iterable[ClassId], path: str | Path) -> None:

@@ -11,6 +11,7 @@ appear among the k nearest prototypes of the queries.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from .data import Dataset
 from .metric import MetricKind, check_finite_distances, pairwise_distances, top_k_classes
-from .network import DIRECTIONS, EmbeddingModel, NetConfig, S_TO_V
+from .network import EmbeddingModel, NetConfig, S_TO_V
 from .training import TrainConfig, train
 
 REPORT_HEADER = "modalities,direction,metric,top1,top5"
@@ -59,9 +60,6 @@ def _scoring_inputs(
     """
     tags = model.config.check_active(active)
     ids = sorted(dataset.unseen)
-    missing = [t for t in tags if t not in dataset.modality_tags]
-    if missing:
-        raise ValueError(f"no semantic table for modalities {missing}")
     prototypes = model.embed({t: dataset.table(t).matrix(ids) for t in tags}, tags)
     if model.direction == S_TO_V:
         queries = dataset.test_visual.values
@@ -185,18 +183,23 @@ def _init_worker(dataset: Dataset) -> None:
 
 
 def _run_cell(task, dataset: Dataset | None = None) -> list[AblationCell]:
-    """Train and score one cell; in a pool worker, on the worker's dataset."""
-    net_config, train_config, subset, direction, metrics = task
+    """Train and score one cell; in a pool worker, on the worker's dataset.
+
+    A ValueError is raised again with the cell's subset, direction and seed.
+    """
+    net_config, train_config, subset, metrics = task
     if dataset is None:
         dataset = _worker_dataset
-    seed = cell_seed(train_config.seed, subset, direction)
-    cfg = dataclasses.replace(train_config, seed=seed)
-    net_cfg = dataclasses.replace(net_config, direction=direction)
-    model, _ = train(dataset, net_cfg, cfg, subset)
-    return [
-        AblationCell(subset, direction, metric, evaluate(model, dataset, metric, subset))
-        for metric in metrics
-    ]
+    direction = net_config.direction
+    try:
+        model, _ = train(dataset, net_config, train_config, subset)
+        return [
+            AblationCell(subset, direction, metric, evaluate(model, dataset, metric, subset))
+            for metric in metrics
+        ]
+    except ValueError as exc:
+        cell = f"cell {'+'.join(subset)} {direction} (seed {train_config.seed})"
+        raise ValueError(f"{cell}: {exc}") from None
 
 
 def ablate(
@@ -212,13 +215,12 @@ def ablate(
 
     Cells are independent; with ``jobs > 1`` they train in separate
     processes. The returned order and every cell value are identical
-    regardless of ``jobs``.
+    regardless of ``jobs``. Every subset and direction is checked before
+    the first cell trains.
     """
     if not subsets:
         raise ValueError("no modality subsets given")
-    for d in directions:
-        if d not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}, got {d!r}")
+    nets = [dataclasses.replace(net_config, direction=d) for d in directions]
     if not metrics:
         raise ValueError("no metrics given")
     if jobs < 1:
@@ -229,11 +231,10 @@ def ablate(
         raise ValueError(f"ablate seed must be in [0, {2**32}), got {train_config.seed}")
     tasks = []
     for subset in subsets:
-        canon = tuple(sorted(set(subset)))
-        if not canon:
-            raise ValueError("empty modality subset")
-        for direction in directions:
-            tasks.append((net_config, train_config, canon, direction, tuple(metrics)))
+        canon = net_config.check_active(subset)
+        for net in nets:
+            seed = cell_seed(train_config.seed, canon, net.direction)
+            tasks.append((net, dataclasses.replace(train_config, seed=seed), canon, tuple(metrics)))
     if jobs == 1:
         grouped = [_run_cell(t, dataset) for t in tasks]
     else:
@@ -246,21 +247,12 @@ def ablate(
 
 def all_subsets(tags: Iterable[str]) -> list[tuple[str, ...]]:
     """Every non-empty subset, ordered by size then tag order."""
-    tags = tuple(sorted(set(tags)))
-    out = [
-        tuple(t for i, t in enumerate(tags) if mask >> i & 1)
-        for mask in range(1, 2 ** len(tags))
-    ]
-    out.sort(key=lambda s: (len(s), s))
-    return out
+    tags = sorted(set(tags))
+    return [s for size in range(1, len(tags) + 1) for s in itertools.combinations(tags, size)]
 
 
 # ---------------------------------------------------------------------------
 # reports
-
-
-def _sorted_cells(cells: Sequence[AblationCell]) -> list[AblationCell]:
-    return sorted(cells, key=lambda c: (c.modalities, c.direction, c.metric.label()))
 
 
 def emit_report(cells: Sequence[AblationCell], format: str, path: str | Path) -> None:
@@ -268,7 +260,7 @@ def emit_report(cells: Sequence[AblationCell], format: str, path: str | Path) ->
     if not cells:
         raise ValueError("no cells to report")
     path = Path(path)
-    ordered = _sorted_cells(cells)
+    ordered = sorted(cells, key=lambda c: (c.modalities, c.direction, c.metric.label()))
     if format == "csv":
         lines = [REPORT_HEADER]
         for c in ordered:
@@ -278,10 +270,7 @@ def emit_report(cells: Sequence[AblationCell], format: str, path: str | Path) ->
             )
         path.write_text("\n".join(lines) + "\n")
     elif format == "markdown":
-        columns = sorted(
-            {(c.direction, c.metric.label()) for c in ordered},
-            key=lambda dc: (dc[0], dc[1]),
-        )
+        columns = sorted({(c.direction, c.metric.label()) for c in ordered})
         by_key = {
             (c.modalities, c.direction, c.metric.label()): c.result for c in ordered
         }

@@ -102,8 +102,7 @@ def cosine_sim(a, b) -> float:
 
 def ec_distance(a, b, eta: float) -> float:
     """Cosine-weighted squared Euclidean distance, symmetric and >= 0."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
+    eta = MetricKind("ec", eta).eta  # checks its range
     a, b = _check_pair(a, b)
     d = a - b
     return float((1.0 - eta * cosine_sim(a, b)) * _dot(d, d))

@@ -367,20 +367,20 @@ def numerical_gradients(
     inputs: Mapping[str, np.ndarray],
     targets,
     active: Iterable[str],
-    step: float = 1e-5,
-) -> dict[str, np.ndarray]:
-    """Central finite differences of the training loss over every parameter, for verification."""
-    grads: dict[str, np.ndarray] = {}
-    for name, param in model.params.items():
-        g = grads[name] = np.zeros_like(param)
-        for i in np.ndindex(param.shape):
-            orig = param[i]
-            param[i] = orig + step
-            hi = model.loss(inputs, targets, active)
-            param[i] = orig - step
-            lo = model.loss(inputs, targets, active)
-            param[i] = orig
-            g[i] = (hi - lo) / (2.0 * step)
+    step: float,
+) -> ParamBuffer:
+    """Central finite differences of the training loss over every parameter,
+    for verification, in a buffer laid out like ``model.params``."""
+    grads = ParamBuffer(param_shapes(model.config))
+    params = model.params.flat
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + step
+        hi = model.loss(inputs, targets, active)
+        params[i] = orig - step
+        lo = model.loss(inputs, targets, active)
+        params[i] = orig
+        grads.flat[i] = (hi - lo) / (2.0 * step)
     return grads
 
 

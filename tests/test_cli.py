@@ -1,15 +1,16 @@
 import dataclasses
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zsl_embed.cli import _config_from, dispatch, read_config_file
-from zsl_embed.evaluation import REPORT_HEADER
+from zsl_embed.cli import _config_from, build_parser, dispatch, read_config_file
+from zsl_embed.evaluation import REPORT_HEADER, cell_seed
 from zsl_embed.metric import MetricKind
 from zsl_embed.network import NetConfig, V_TO_S
-from zsl_embed.synthetic import SynthConfig
+from zsl_embed.synthetic import ModalitySpec, SynthConfig
 from zsl_embed.training import TrainConfig, load_checkpoint
 
 PIPELINE_CFG = """\
@@ -158,6 +159,13 @@ def test_every_config_field_is_a_key_and_its_default_parses_back(cls, section, g
     assert _config_from(cls, section, entries, **given) == cls(**given)
 
 
+def test_modality_specs_leave_the_parts_not_given_to_modality_spec():
+    entries = {"synth.modalities": "W:12,C:10:0.25,I:11:0.5:0.1"}
+    assert _config_from(SynthConfig, "synth", entries).modalities == (
+        ModalitySpec("W", 12), ModalitySpec("C", 10, 0.25), ModalitySpec("I", 11, 0.5, 0.1)
+    )
+
+
 @pytest.mark.parametrize("line", ["train.l2_lambda = 0.1", "net.modality_dims = A:3"])
 def test_config_rejects_keys_that_are_not_settable_fields(line, tmp_path):
     p = tmp_path / "bad.cfg"
@@ -192,6 +200,23 @@ def test_readme_repo_paths_exist():
     cited = re.findall(r"\b(?:src|tests|scripts|bench)/[\w./-]*\w", (root / "README.md").read_text())
     assert cited
     assert [path for path in cited if not (root / path).exists()] == []
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [
+        line.split("#", 1)[0]
+        for block in readme.split("```")[1::2]
+        for line in block.splitlines()
+        if line.startswith("zsl-embed ")
+    ]
+    assert len(commands) >= 8
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
 
 
 def test_net_embed_dim_mismatch(cfg_path, tmp_path, capsys):
@@ -353,6 +378,33 @@ def test_negative_seed_is_an_error_that_names_it(cfg_path, tmp_path, capsys):
     assert not grid.exists()
     assert dispatch(["gradcheck", "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: gradcheck seed must be >= 0, got -1\n"
+
+
+DIVERGING_CFG = """\
+net.head_hidden = 32
+net.head_out = 48
+train.optimizer = sgd
+train.lr = 5
+train.epochs = 2
+ablate.subsets = W;C+I
+ablate.directions = s2v,v2s
+"""
+
+
+def test_failing_ablate_cell_names_itself(tmp_path, capsys):
+    data, cfg = tmp_path / "data", tmp_path / "div.cfg"
+    cfg.write_text(DIVERGING_CFG)
+    assert dispatch(["synth", "--seed", "1", "--out", str(data)]) == 0
+    capsys.readouterr()
+    errors = []
+    for jobs in ("1", "2"):
+        assert dispatch(["ablate", "--config", str(cfg), "--data", str(data), "--seed", "1",
+                         "--jobs", jobs, "--out", str(tmp_path / "grid.csv")]) == 1
+        errors.append(capsys.readouterr().err)
+    cell = f"cell W s2v (seed {cell_seed(1, ('W',), 's2v')})"
+    assert errors[0].startswith(f"error: {cell}: training diverged: loss ")
+    assert errors[1] == errors[0]
+    assert not (tmp_path / "grid.csv").exists()
 
 
 def test_ablate_seed_must_fit_in_32_bits(cfg_path, tmp_path, capsys):

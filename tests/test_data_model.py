@@ -274,6 +274,21 @@ def test_save_binary_rejects_float32_overflow(tmp_path):
         save_feature_matrix(m, tmp_path / "m.zslf")
 
 
+def test_save_feature_matrix_writes_without_copying_the_payload(tmp_path):
+    m = FeatureMatrix(np.random.default_rng(5).normal(size=(2000, 256)), np.arange(2000) % 7)
+    tracemalloc.start()
+    try:
+        save_feature_matrix(m, tmp_path / "m.zslf")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 payload is half the float64 matrix; the finiteness mask an eighth
+    assert peak < 0.75 * m.values.nbytes
+    back = load_feature_matrix(tmp_path / "m.zslf")
+    assert back.values.tobytes() == m.values.astype(np.float32).astype(np.float64).tobytes()
+    assert back.labels.tolist() == m.labels.tolist()
+
+
 # truncate to a length, flip bits, or rewrite the header's row and dim counts
 FEATURE_MUTATIONS = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, 10**6)),

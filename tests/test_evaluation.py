@@ -80,7 +80,7 @@ def test_prototypes_validation():
     ds = build_dataset()
     model = build_model(ds)
     only_a = dataclasses.replace(ds, semantics=ds.semantics[:1])
-    with pytest.raises(ValueError, match=r"no semantic table for modalities \['B'\]"):
+    with pytest.raises(ValueError, match="no semantic table for modality B"):
         evaluate(model, only_a, MetricKind.ec(0.9), ("A", "B"))
     assert evaluate(model, only_a, MetricKind.ec(0.9), ("A",)).top1 >= 0.0
 
@@ -356,6 +356,9 @@ def test_all_subsets():
     assert len(all_subsets("WCIT")) == 15
     sizes = [len(s) for s in all_subsets("WCIT")]
     assert sizes == sorted(sizes)
+    tags = "ABCDEF"
+    masks = [tuple(t for i, t in enumerate(tags) if m >> i & 1) for m in range(1, 64)]
+    assert all_subsets(tags) == sorted(masks, key=lambda s: (len(s), s))
 
 
 def test_ablate_single_cell():
@@ -447,6 +450,28 @@ def test_ablate_validation():
         ablate(ds, net, quick_train_config(), [("A",)], metrics=())
     with pytest.raises(ValueError, match="jobs"):
         ablate(ds, net, quick_train_config(), [("A",)], jobs=0)
+
+
+def test_ablate_checks_every_subset_before_the_first_cell_trains(monkeypatch):
+    trained = []
+
+    def counting_train(*args, **kwargs):
+        trained.append(args)
+        return train(*args, **kwargs)
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a pool started before the grid was checked")
+
+    monkeypatch.setattr(evaluation, "train", counting_train)
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", NoPool)
+    ds = build_dataset()
+    net = NetConfig(modality_dims=ds.modality_dims(), head_hidden=5, head_out=4,
+                    embed_dim=ds.visual.dim)
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match=r"^unknown modalities: \['Z'\]$"):
+            ablate(ds, net, quick_train_config(), [("A",), ("Z",)], jobs=jobs)
+    assert trained == []
 
 
 # ---------------------------------------------------------------------------

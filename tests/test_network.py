@@ -11,6 +11,7 @@ from zsl_embed.network import (
     V_TO_S,
     init_model,
     max_relative_error,
+    numerical_gradients,
     param_shapes,
 )
 
@@ -356,6 +357,18 @@ def test_gradient_with_regularization_includes_weight_term():
     _, analytic = model.loss_and_grad(inputs, targets, ("A", "B"))
     numeric = finite_difference(model, inputs, targets, ("A", "B"))
     assert max_relative_error(analytic, numeric) < 1e-6
+
+
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+def test_numerical_gradients_equal_the_independent_loop_bitwise(direction):
+    rng = np.random.default_rng(zlib.crc32(direction.encode()))
+    model, inputs, targets = random_instance(rng, direction)
+    numeric = numerical_gradients(model, inputs, targets, ("A", "B"), step=1e-5)
+    expected = finite_difference(model, inputs, targets, ("A", "B"))
+    assert isinstance(numeric, ParamBuffer)
+    assert list(numeric) == list(expected)
+    for name in expected:
+        assert numeric[name].tobytes() == expected[name].tobytes(), name
 
 
 def test_max_relative_error_mismatched_bundles():
