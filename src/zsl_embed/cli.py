@@ -11,9 +11,10 @@ section prefixes (``net.head_out``, ``train.lr``, ``synth.n_classes``,
 ``metric.eta``, ``ablate.directions``); command-line flags override file
 values. The ``net``, ``train``, ``synth`` and ``metric`` keys are the
 fields of ``NetConfig``, ``TrainConfig``, ``SynthConfig`` and ``MetricKind``
-that have defaults.
-Unknown keys are rejected. The ``ZSL_EMBED_LOG`` environment variable
-(error, info, debug) controls log verbosity.
+that have defaults; the ``ablate`` keys set the grid's axes, and an axis
+left unset takes ``evaluation.ablate``'s default. Unknown keys are
+rejected. The ``ZSL_EMBED_LOG`` environment variable (error, info, debug)
+controls log verbosity.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, load_dataset, save_dataset
-from .evaluation import AblationCell, ablate, all_subsets, emit_report, evaluate
+from .evaluation import AblationCell, ablate, emit_report, evaluate
 from .metric import METRIC_KINDS, MetricKind, metric_distance
 from .network import DIRECTIONS, NetConfig, gradient_check
 from .synthetic import ModalitySpec, SynthConfig, generate
@@ -225,33 +226,19 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     entries = read_config_file(args.config) if args.config else {}
     dataset = load_dataset(args.data)
+    grid = {}
     if "ablate.subsets" in entries:
-        subsets = [_parse_tags(s.replace("+", ",")) for s in entries["ablate.subsets"].split(";")]
-    else:
-        subsets = all_subsets(dataset.modality_tags)
-    if args.direction:
-        directions = (args.direction,)
-    elif "ablate.directions" in entries:
-        directions = tuple(d.strip() for d in entries["ablate.directions"].split(","))
-    else:
-        directions = DIRECTIONS
-    if args.metric:
-        metrics = (_config_from(MetricKind, "metric", entries, kind=args.metric, eta=args.eta),)
-    elif "ablate.metrics" in entries:
+        grid["subsets"] = [_parse_tags(s.replace("+", ",")) for s in entries["ablate.subsets"].split(";")]
+    if "ablate.directions" in entries:
+        grid["directions"] = tuple(d.strip() for d in entries["ablate.directions"].split(","))
+    if "ablate.metrics" in entries:
         metrics = tuple(_parse_metric_label(m) for m in entries["ablate.metrics"].split(","))
     else:
-        metrics = (_config_from(MetricKind, "metric", entries, kind="ec", eta=args.eta),
-                   MetricKind.euclidean())
+        metrics = (_config_from(MetricKind, "metric", entries), MetricKind.euclidean())
     net_config = _net_config(entries, dataset, None, None)
     train_config = _config_from(TrainConfig, "train", entries, seed=args.seed)
-    log.info(
-        "ablation grid: %d subsets x %d directions x %d metrics, %d jobs",
-        len(subsets), len(directions), len(metrics), args.jobs,
-    )
-    cells = ablate(
-        dataset, net_config, train_config, subsets,
-        directions=directions, metrics=metrics, jobs=args.jobs,
-    )
+    log.info("ablation grid: %d jobs", args.jobs)
+    cells = ablate(dataset, net_config, train_config, metrics=metrics, jobs=args.jobs, **grid)
     emit_report(cells, args.format, args.out)
     print(f"wrote {len(cells)} cells -> {args.out}")
     return 0
@@ -325,9 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report output path")
     p.add_argument("--format", choices=("csv", "markdown"), default="csv")
     p.add_argument("--jobs", type=int, default=1, help="parallel training processes")
-    p.add_argument("--direction", choices=DIRECTIONS, help="restrict to one direction")
-    p.add_argument("--metric", choices=METRIC_KINDS, help="restrict to one metric")
-    p.add_argument("--eta", type=float, help="cosine weight for the ec metric")
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("distance", help="compute one distance value")

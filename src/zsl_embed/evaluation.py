@@ -3,7 +3,9 @@
 Each test sample is assigned the class whose embedded prototype is
 nearest under the chosen metric; ties break toward the lowest class id.
 ``ablate`` trains one model per (modality subset, direction) and scores
-it under every metric; ``emit_report`` renders the grid as CSV or a
+it under every metric; by default the grid is every subset of the net's
+modalities x both directions x (ec:0.9, euclidean), and a repeated entry
+of any axis counts once. ``emit_report`` renders the grid as CSV or a
 markdown table. ``hubness_skewness`` quantifies how unevenly classes
 appear among the k nearest prototypes of the queries.
 """
@@ -21,7 +23,7 @@ import numpy as np
 
 from .data import Dataset
 from .metric import MetricKind, check_finite_distances, pairwise_distances, top_k_classes
-from .network import EmbeddingModel, NetConfig, S_TO_V
+from .network import DIRECTIONS, EmbeddingModel, NetConfig, S_TO_V
 from .training import TrainConfig, train
 
 REPORT_HEADER = "modalities,direction,metric,top1,top5"
@@ -116,23 +118,17 @@ def evaluate(
     if dataset.test_visual.rows == 0:
         raise ValueError("no test samples")
     queries, prototypes, ids = _scoring_inputs(model, dataset, active)
-    id_to_idx = {c: i for i, c in enumerate(ids)}
-    true_idx = np.asarray([id_to_idx[int(c)] for c in dataset.test_visual.labels])
+    true_idx = np.searchsorted(ids, dataset.test_visual.labels)
 
     ranked = top_k_classes(queries, prototypes, metric, min(5, len(ids)))
-    hit1 = ranked[:, 0] == true_idx
     hit5 = (ranked == true_idx[:, None]).any(axis=1)
 
-    n_cls = len(ids)
-    confusion = np.zeros((n_cls, n_cls), dtype=np.int64)
+    confusion = np.zeros((len(ids), len(ids)), dtype=np.int64)
     np.add.at(confusion, (true_idx, ranked[:, 0]), 1)
-    per_class = {}
-    for i, cls in enumerate(ids):
-        mask = true_idx == i
-        if mask.any():
-            per_class[cls] = float(hit1[mask].mean())
+    correct, counts = np.diagonal(confusion), confusion.sum(axis=1)
+    per_class = {cls: float(correct[i] / counts[i]) for i, cls in enumerate(ids) if counts[i]}
     return EvalResult(
-        top1=float(hit1.mean()),
+        top1=float(np.trace(confusion) / len(true_idx)),
         top5=float(hit5.mean()),
         per_class_top1=per_class,
         confusion=confusion,
@@ -206,23 +202,29 @@ def ablate(
     dataset: Dataset,
     net_config: NetConfig,
     train_config: TrainConfig,
-    subsets: Sequence[Iterable[str]],
-    directions: Sequence[str] = (S_TO_V,),
-    metrics: Sequence[MetricKind] = (MetricKind.ec(),),
+    subsets: Sequence[Iterable[str]] | None = None,
+    directions: Sequence[str] = DIRECTIONS,
+    metrics: Sequence[MetricKind] = (MetricKind(), MetricKind.euclidean()),
     jobs: int = 1,
 ) -> list[AblationCell]:
-    """Train and score the full (subset x direction) grid under each metric.
+    """Train and score the (subset x direction) grid under each metric.
 
-    Cells are independent; with ``jobs > 1`` they train in separate
-    processes. The returned order and every cell value are identical
-    regardless of ``jobs``. Every subset and direction is checked before
-    the first cell trains.
+    By default the grid is every subset of the net's modalities x both
+    directions x (ec:0.9, euclidean). Each axis is a set: subsets are
+    canonicalised (``C+W`` is ``W+C``) and a repeated entry of any axis
+    counts once, at its first place. Cells are independent; with
+    ``jobs > 1`` they train in separate processes. The returned order and
+    every cell value are identical regardless of ``jobs``. Every axis is
+    checked before the first cell trains.
     """
-    if not subsets:
-        raise ValueError("no modality subsets given")
-    nets = [dataclasses.replace(net_config, direction=d) for d in directions]
-    if not metrics:
-        raise ValueError("no metrics given")
+    if subsets is None:
+        subsets = all_subsets(net_config.tags)
+    subsets = list(dict.fromkeys(net_config.check_active(s) for s in subsets))
+    nets = [dataclasses.replace(net_config, direction=d) for d in dict.fromkeys(directions)]
+    metrics = tuple(dict.fromkeys(metrics))
+    for axis, values in (("modality subsets", subsets), ("directions", nets), ("metrics", metrics)):
+        if not values:
+            raise ValueError(f"no {axis} given")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     # crc32 takes its start value modulo 2**32, so outside this range
@@ -231,15 +233,14 @@ def ablate(
         raise ValueError(f"ablate seed must be in [0, {2**32}), got {train_config.seed}")
     tasks = []
     for subset in subsets:
-        canon = net_config.check_active(subset)
         for net in nets:
-            seed = cell_seed(train_config.seed, canon, net.direction)
-            tasks.append((net, dataclasses.replace(train_config, seed=seed), canon, tuple(metrics)))
+            seed = cell_seed(train_config.seed, subset, net.direction)
+            tasks.append((net, dataclasses.replace(train_config, seed=seed), subset, metrics))
     if jobs == 1:
         grouped = [_run_cell(t, dataset) for t in tasks]
     else:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(dataset,)
+            max_workers=min(jobs, len(tasks)), initializer=_init_worker, initargs=(dataset,)
         ) as pool:
             grouped = list(pool.map(_run_cell, tasks))
     return [cell for group in grouped for cell in group]

@@ -137,13 +137,11 @@ class SgdMomentum:
         self.lr = config.lr
         self.momentum = config.momentum
         self.velocity = np.zeros_like(params.flat)
-        self.steps = 0
 
     def step(self, grad: np.ndarray) -> None:
         """Update ``params.flat`` from ``grad`` (same layout), using ``grad`` as scratch."""
         if grad.shape != self.params.flat.shape:
             raise ValueError(f"gradient shape {grad.shape} does not match {self.params.flat.shape}")
-        self.steps += 1
         for p, g, u in _blocks(self.params.flat, grad, self.velocity):
             u *= self.momentum
             u += g

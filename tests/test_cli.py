@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zsl_embed import evaluation
 from zsl_embed.cli import _config_from, build_parser, dispatch, read_config_file
-from zsl_embed.evaluation import REPORT_HEADER, cell_seed
+from zsl_embed.evaluation import REPORT_HEADER, AblationCell, EvalResult, cell_seed
 from zsl_embed.metric import MetricKind
 from zsl_embed.network import NetConfig, V_TO_S
 from zsl_embed.synthetic import ModalitySpec, SynthConfig
@@ -359,6 +360,74 @@ def test_ablate_default_metrics_use_config_eta(tmp_path, capsys):
     capsys.readouterr()
     metrics = {line.split(",")[2] for line in grid.read_text().splitlines()[1:]}
     assert metrics == {"ec:0.5", "euclidean"}
+
+
+@pytest.mark.parametrize("kind, labels", [
+    ("cosine", {"cosine", "euclidean"}),
+    ("euclidean", {"euclidean"}),
+])
+def test_ablate_default_metrics_use_config_kind(kind, labels, tmp_path, capsys):
+    cfg = tmp_path / "kind.cfg"
+    cfg.write_text(PIPELINE_CFG.replace("ablate.metrics = ec:0.9\n", f"metric.kind = {kind}\n"))
+    data, grid = tmp_path / "data", tmp_path / "grid.csv"
+    assert dispatch(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+    assert dispatch(["ablate", "--config", str(cfg), "--data", str(data), "--out", str(grid)]) == 0
+    capsys.readouterr()
+    rows = grid.read_text().splitlines()[1:]
+    assert {line.split(",")[2] for line in rows} == labels
+    assert len(rows) == 3 * len(labels)
+
+
+def test_ablate_report_has_one_row_per_distinct_cell(tmp_path, capsys):
+    cfg = tmp_path / "repeats.cfg"
+    cfg.write_text(
+        PIPELINE_CFG.replace("ablate.subsets = A;B;A+B", "ablate.subsets = A;A+B;B+A")
+        .replace("ablate.directions = s2v", "ablate.directions = s2v,s2v")
+        .replace("ablate.metrics = ec:0.9", "ablate.metrics = ec:0.9,ec")
+    )
+    data, csv, md = tmp_path / "data", tmp_path / "grid.csv", tmp_path / "grid.md"
+    assert dispatch(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+    for out, fmt in ((csv, "csv"), (md, "markdown")):
+        assert dispatch(["ablate", "--config", str(cfg), "--data", str(data), "--out", str(out),
+                         "--format", fmt]) == 0
+    assert capsys.readouterr().out.count("wrote 2 cells") == 2
+    rows = csv.read_text().splitlines()[1:]
+    md_cells = [cell for line in md.read_text().splitlines()[2:]
+                for cell in line.strip("| ").split(" | ")[1:] if cell != "-"]
+    assert [row.split(",")[0] for row in rows] == ["A", "A+B"]
+    assert len(rows) == len(md_cells) == 2
+
+
+@pytest.mark.parametrize("flag", [["--direction", "s2v"], ["--metric", "ec"], ["--eta", "0.5"]])
+def test_ablate_axes_come_only_from_the_config(flag, tmp_path, capsys):
+    assert dispatch(["ablate", "--data", str(tmp_path), "--out", str(tmp_path / "g.csv"), *flag]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_experiments_grid_has_sixty_rows(tmp_path, monkeypatch, capsys):
+    """README's Experiments grid.cfg sets no ablate. key, so ablate's defaults make the 15x2x2 grid."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    experiments = readme.split("## Experiments", 1)[1]
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(experiments.split("`grid.cfg`", 1)[1].split("```")[1])
+    assert not any(key.startswith("ablate.") for key in read_config_file(str(cfg)))
+
+    def untrained_cell(task, dataset=None):
+        net, _, subset, metrics = task
+        result = EvalResult(0.0, 0.0, {}, np.zeros((1, 1), dtype=np.int64), (0,))
+        return [AblationCell(subset, net.direction, metric, result) for metric in metrics]
+
+    monkeypatch.setattr(evaluation, "_run_cell", untrained_cell)
+    data, grid = tmp_path / "data", tmp_path / "grid.csv"
+    assert dispatch(["synth", "--seed", "1", "--out", str(data)]) == 0
+    assert dispatch(["ablate", "--config", str(cfg), "--data", str(data), "--seed", "1",
+                     "--out", str(grid)]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in grid.read_text().splitlines()[1:]]
+    assert len(rows) == 15 * 2 * 2
+    assert len({r[0] for r in rows}) == 15
+    assert {r[1] for r in rows} == {"s2v", "v2s"}
+    assert {r[2] for r in rows} == {"ec:0.9", "euclidean"}
 
 
 def test_negative_seed_is_an_error_that_names_it(cfg_path, tmp_path, capsys):

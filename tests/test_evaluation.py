@@ -365,7 +365,8 @@ def test_ablate_single_cell():
     ds = build_dataset()
     net = NetConfig(modality_dims=ds.modality_dims(), head_hidden=5, head_out=4,
                     embed_dim=ds.visual.dim)
-    cells = ablate(ds, net, quick_train_config(), subsets=[("A",)])
+    cells = ablate(ds, net, quick_train_config(), subsets=[("A",)],
+                   directions=(S_TO_V,), metrics=(MetricKind.ec(),))
     assert len(cells) == 1
     cell = cells[0]
     assert cell.modalities == ("A",)
@@ -405,12 +406,18 @@ def test_ablate_jobs_parity():
         assert a.result.confusion.tolist() == b.result.confusion.tolist()
 
 
-def test_ablate_sends_dataset_once_per_worker(monkeypatch):
-    """The pool gets the dataset through its initializer; tasks carry only the cell."""
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace ``ablate``'s process pool with one that runs every task here.
+
+    Returns the dict the fake records its ``max_workers``, ``initargs`` and
+    ``tasks`` in; no process starts.
+    """
     sent = {}
 
     class InlinePool:
         def __init__(self, max_workers, initializer, initargs):
+            sent["max_workers"] = max_workers
             sent["initargs"] = initargs
             initializer(*initargs)
 
@@ -426,16 +433,78 @@ def test_ablate_sends_dataset_once_per_worker(monkeypatch):
 
     monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(evaluation, "_worker_dataset", None)
+    return sent
+
+
+def test_ablate_sends_dataset_once_per_worker(inline_pool):
+    """The pool gets the dataset through its initializer; tasks carry only the cell."""
+    sent = inline_pool
     ds = build_dataset()
     net = NetConfig(modality_dims=ds.modality_dims(), head_hidden=5, head_out=4,
                     embed_dim=ds.visual.dim)
     subsets = [("A",), ("A", "B")]
-    pooled = ablate(ds, net, quick_train_config(), subsets, jobs=2)
+    grid = dict(directions=(S_TO_V,), metrics=(MetricKind.ec(),))
+    pooled = ablate(ds, net, quick_train_config(), subsets, jobs=2, **grid)
     assert sent["initargs"] == (ds,)
     assert len(sent["tasks"]) == 2
     assert not any(isinstance(item, Dataset) for task in sent["tasks"] for item in task)
-    serial = ablate(ds, net, quick_train_config(), subsets, jobs=1)
+    serial = ablate(ds, net, quick_train_config(), subsets, jobs=1, **grid)
     assert [c.result.top1 for c in pooled] == [c.result.top1 for c in serial]
+
+
+def test_ablate_starts_no_more_workers_than_cells(inline_pool):
+    ds = build_dataset()
+    net = NetConfig(modality_dims=ds.modality_dims(), head_hidden=5, head_out=4,
+                    embed_dim=ds.visual.dim)
+    cells = ablate(ds, net, quick_train_config(), [("A",), ("B",)], directions=(S_TO_V,),
+                   metrics=(MetricKind.ec(),), jobs=64)
+    assert len(cells) == 2
+    assert inline_pool["max_workers"] == 2
+
+
+def test_ablate_treats_each_axis_as_a_set(monkeypatch):
+    trained = []
+
+    def counting_train(*args, **kwargs):
+        trained.append(args)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "train", counting_train)
+    ds = build_dataset()
+    net = NetConfig(modality_dims=ds.modality_dims(), head_hidden=5, head_out=4,
+                    embed_dim=ds.visual.dim)
+    cells = ablate(ds, net, quick_train_config(), [("A", "B"), ("B", "A"), ("A",)],
+                   directions=(S_TO_V, S_TO_V),
+                   metrics=(MetricKind.ec(), MetricKind.ec(0.9), MetricKind.euclidean()))
+    assert [(c.modalities, c.direction, c.metric.label()) for c in cells] == [
+        (("A", "B"), S_TO_V, "ec:0.9"),
+        (("A", "B"), S_TO_V, "euclidean"),
+        (("A",), S_TO_V, "ec:0.9"),
+        (("A",), S_TO_V, "euclidean"),
+    ]
+    assert len(trained) == 2
+    with pytest.raises(ValueError, match="^no directions given$"):
+        ablate(ds, net, quick_train_config(), [("A",)], directions=())
+    assert len(trained) == 2
+
+
+def test_ablate_default_grid_is_every_subset_by_both_directions_by_ec_and_euclidean(monkeypatch):
+    tasks = []
+
+    def recording_run_cell(task, dataset=None):
+        tasks.append(task)
+        return []
+
+    monkeypatch.setattr(evaluation, "_run_cell", recording_run_cell)
+    ds = build_dataset()
+    net = NetConfig(modality_dims=ds.modality_dims(), head_hidden=5, head_out=4,
+                    embed_dim=ds.visual.dim)
+    assert ablate(ds, net, quick_train_config()) == []
+    assert [(subset, n.direction, metrics) for n, _, subset, metrics in tasks] == [
+        (subset, direction, (MetricKind.ec(0.9), MetricKind.euclidean()))
+        for subset in all_subsets(net.tags)
+        for direction in (S_TO_V, V_TO_S)
+    ]
 
 
 def test_ablate_validation():
