@@ -15,13 +15,20 @@ Two directions are supported:
   vectors; a v2s model has no shared layer.
 
 A model holds only the heads of the modalities it is trained on, and
-trains all of them. Inputs are batch matrices, one row per sample.
+trains all of them. Inputs are batch matrices. The semantic side is per
+class, so a training batch gives the heads one row per distinct class of
+the batch and maps each sample to its class's row (``rows``): the heads
+and, for s2v, the shared layer run once per class, and each sample's
+residual gradient is summed per class before it enters them. Without
+``rows`` each input row belongs to one sample.
 
 Every branch is a ``ReluStack`` of dense-ReLU layers with one hand-derived
 backward pass (no autodiff); the ReLU subgradient at exactly 0 is taken
 as 0. All parameters of a model are views into one contiguous float64
 vector (a ``ParamBuffer``): every weight matrix first, stack by stack,
-then every bias, so the L2 penalty is one dot product over the weights.
+then every bias, so the L2 penalty is one dot product over the weights,
+summed in chunks (``metric._dot``) so that it does not depend on the
+BLAS thread count.
 Gradients come back in a buffer of the same layout, which a training
 loop passes as ``out=`` to every step, and optimizers update the whole
 model with a few vector ops.
@@ -34,6 +41,8 @@ import math
 from typing import Iterable, Mapping
 
 import numpy as np
+
+from .metric import _dot
 
 S_TO_V = "s2v"
 V_TO_S = "v2s"
@@ -151,6 +160,30 @@ def _as_batch(x, what: str) -> np.ndarray:
     return x
 
 
+def _as_rows(rows, m: int, k: int) -> np.ndarray:
+    """``rows`` as a 1-D integer array of ``m`` entries in [0, k), one per target."""
+    rows = np.asarray(rows)
+    if rows.shape != (m,):
+        raise ValueError(f"rows: expected one class-row index per target, shape ({m},), got {rows.shape}")
+    if not np.issubdtype(rows.dtype, np.integer):  # a bool array would index as a mask
+        raise ValueError(f"rows[0] = {rows[0].item()!r} is not an integer class-row index (dtype {rows.dtype})")
+    if rows.min() < 0 or rows.max() >= k:  # a negative index would wrap round
+        i = int(np.flatnonzero((rows < 0) | (rows >= k))[0])
+        raise ValueError(f"rows[{i}] = {rows[i]} is outside [0, {k}), the inputs' class rows")
+    return rows
+
+
+def _per_class(d: np.ndarray, rows: np.ndarray | None, k: int, scale: float) -> np.ndarray:
+    """``scale * d`` with its sample rows summed into ``k`` class rows: row
+    ``c`` adds every row ``i`` with ``rows[i] == c``, in one (k x m) GEMM
+    with a scaled one-hot matrix. Without ``rows``, ``scale * d`` itself."""
+    if rows is None:
+        return scale * d
+    onehot = np.zeros((k, rows.size))
+    onehot[rows, np.arange(rows.size)] = scale
+    return onehot @ d
+
+
 class ReluStack:
     """Dense-ReLU layers applied in order: ``a <- max(a @ W.T + b, 0)``.
 
@@ -208,13 +241,15 @@ class FusionNet:
         self.params = {name: p for stack in held for name, p in stack.params.items()}
 
     def fuse(
-        self, inputs: Mapping[str, np.ndarray], tags: tuple[str, ...], rows: int | None = None
+        self, inputs: Mapping[str, np.ndarray], tags: tuple[str, ...], n_targets: int | None = None
     ) -> tuple[np.ndarray, list[list[np.ndarray]]]:
         """Sum of the heads' outputs over ``tags``, and each head's cache.
 
-        Each input must have its modality's dim and, if given, ``rows`` rows.
+        Each input must have its modality's dim and ``n_targets`` rows if
+        given, else as many rows as the first input.
         """
         dims = self.config.modality_dims
+        expected = None if n_targets is None else (n_targets, f"{n_targets} targets")
         fused = None
         caches = []
         for tag in tags:
@@ -223,8 +258,10 @@ class FusionNet:
             y = _as_batch(inputs[tag], f"modality {tag}")
             if y.shape[1] != dims[tag]:
                 raise ValueError(f"modality {tag}: expected dim {dims[tag]}, got {y.shape[1]}")
-            if rows is not None and y.shape[0] != rows:
-                raise ValueError(f"modality {tag}: {y.shape[0]} rows for {rows} targets")
+            if expected is None:
+                expected = (y.shape[0], f"{y.shape[0]} rows of modality {tag}")
+            elif y.shape[0] != expected[0]:
+                raise ValueError(f"modality {tag}: {y.shape[0]} rows for {expected[1]}")
             a, acts = self.heads[tag].forward(y)
             caches.append(acts)
             fused = a if fused is None else fused + a
@@ -270,13 +307,13 @@ class EmbeddingModel:
             raise ValueError(f"expected visual dim {self.config.embed_dim}, got {batch.shape[1]}")
         return self.visual_map.forward(batch)[0]
 
-    def loss(self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str]) -> float:
+    def loss(self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str], rows=None) -> float:
         """The loss of ``loss_and_grad``, from the forward pass alone."""
-        return self._forward(inputs, targets, active)[0]
+        return self._forward(inputs, targets, active, rows)[0]
 
-    def _forward(self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str]):
+    def _forward(self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str], rows):
         """The loss and what the backward pass needs: the heads' caches, the
-        top stack's cache, the residual and the batch size."""
+        top stack's cache, the residual, the batch size and the checked ``rows``."""
         tags = self.config.check_active(active)
         if tags != self.config.tags:
             raise ValueError(f"active must name exactly the model's heads {list(self.config.tags)}")
@@ -288,36 +325,53 @@ class EmbeddingModel:
             raise ValueError(
                 f"target dim {x.shape[1]} does not match embed_dim {self.config.embed_dim}"
             )
-        fused, head_caches = self.fusion.fuse(inputs, tags, m)
+        if rows is None:
+            fused, head_caches = self.fusion.fuse(inputs, tags, m)
+        else:
+            fused, head_caches = self.fusion.fuse(inputs, tags)
+            rows = _as_rows(rows, m, fused.shape[0])
         if self.direction == S_TO_V:
             embedded, acts = self.top.forward(fused)
-            residual = embedded - x
+            residual = (embedded if rows is None else embedded[rows]) - x
         else:
             mapped, acts = self.top.forward(x)
-            residual = mapped - fused
+            residual = mapped - (fused if rows is None else fused[rows])
         w = self.params.flat[self.weights]
         mse = float(np.add.reduce(residual * residual, axis=None)) / m
-        return mse + self.config.l2_lambda * float(w @ w), head_caches, acts, residual, m
+        return mse + self.config.l2_lambda * float(_dot(w, w)), head_caches, acts, residual, m, rows
 
     def loss_and_grad(
-        self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str], out: ParamBuffer | None = None
+        self,
+        inputs: Mapping[str, np.ndarray],
+        targets,
+        active: Iterable[str],
+        out: ParamBuffer | None = None,
+        rows=None,
     ) -> tuple[float, ParamBuffer]:
         """Mean squared error plus L2 weight penalty, with analytic gradients.
 
-        ``targets`` holds one visual feature row per sample, and every input
-        one semantic row; ``active`` must name exactly the model's heads.
+        ``targets`` holds one visual feature row per sample; ``active`` must
+        name exactly the model's heads. Without ``rows`` every input holds
+        one semantic row per sample. With ``rows``, every input holds the
+        same k class rows and target ``i`` pairs with input row ``rows[i]``,
+        an integer in [0, k): the heads and, for s2v, the shared layer run
+        on the k class rows, and each sample's residual gradient is summed
+        per class before it enters them. The v2s visual map runs per sample.
+
         The L2 term covers every weight matrix (not the biases), so the
         returned gradients are exact partials of the returned loss. They are
         laid out like ``params`` and written into and returned in ``out``, a
         buffer of that layout whose old values do not matter, or else a new one.
         """
-        loss, head_caches, acts, residual, m = self._forward(inputs, targets, active)
+        loss, head_caches, acts, residual, m, rows = self._forward(inputs, targets, active, rows)
         grads = ParamBuffer(param_shapes(self.config)) if out is None else out
+        k = head_caches[0][0].shape[0]  # the heads' input rows
         if self.direction == S_TO_V:
-            d_fused = self.top.backward(acts, (2.0 / m) * residual, grads, input_grad=True)
+            d_top = _per_class(residual, rows, k, 2.0 / m)
+            d_fused = self.top.backward(acts, d_top, grads, input_grad=True)
         else:
             self.top.backward(acts, (2.0 / m) * residual, grads)
-            d_fused = (-2.0 / m) * residual
+            d_fused = _per_class(residual, rows, k, -2.0 / m)
         for head, head_acts in zip(self.fusion.heads.values(), head_caches):
             head.backward(head_acts, d_fused, grads)
 
@@ -368,17 +422,19 @@ def numerical_gradients(
     targets,
     active: Iterable[str],
     step: float,
+    rows=None,
 ) -> ParamBuffer:
     """Central finite differences of the training loss over every parameter,
-    for verification, in a buffer laid out like ``model.params``."""
+    for verification, in a buffer laid out like ``model.params``. ``rows``
+    is passed on to ``model.loss``."""
     grads = ParamBuffer(param_shapes(model.config))
     params = model.params.flat
     for i in range(params.size):
         orig = params[i]
         params[i] = orig + step
-        hi = model.loss(inputs, targets, active)
+        hi = model.loss(inputs, targets, active, rows)
         params[i] = orig - step
-        lo = model.loss(inputs, targets, active)
+        lo = model.loss(inputs, targets, active, rows)
         params[i] = orig
         grads.flat[i] = (hi - lo) / (2.0 * step)
     return grads
@@ -404,10 +460,12 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
     """Worst finite-difference error over small random instances.
 
     Covers every non-empty subset of four modalities in both directions
-    with random dims <= 8 and batches <= 4; returns the max relative
-    error. All parameters (biases included) are jittered to generic
-    values so no ReLU preactivation sits exactly at its kink, where the
-    one-sided subgradient convention and central differences disagree.
+    with random dims <= 8 and two batches each: up to 4 samples with an
+    input row each, and up to 7 samples that share up to 3 class rows
+    (``rows``), so that classes repeat; returns the max relative error.
+    All parameters (biases included) are jittered to generic values so no
+    ReLU preactivation sits exactly at its kink, where the one-sided
+    subgradient convention and central differences disagree.
     """
     if seed < 0:
         raise ValueError(f"gradcheck seed must be >= 0, got {seed}")
@@ -436,9 +494,13 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
                     if name in model.params:
                         model.params[name] += jitter
             m = int(rng.integers(1, 5))
-            inputs = {t: rng.normal(size=(m, dims[t])) for t in subset}
-            targets = rng.uniform(0.0, 1.0, size=(m, config.embed_dim))
-            _, analytic = model.loss_and_grad(inputs, targets, subset)
-            numeric = numerical_gradients(model, inputs, targets, subset, step=step)
-            worst = max(worst, max_relative_error(analytic, numeric))
+            k = int(rng.integers(1, 4))
+            # m samples with a row each, then m + k samples on k class rows
+            for rows in (None, rng.integers(0, k, size=m + k)):
+                n_in = m if rows is None else k
+                inputs = {t: rng.normal(size=(n_in, dims[t])) for t in subset}
+                targets = rng.uniform(0.0, 1.0, size=(m if rows is None else m + k, config.embed_dim))
+                _, analytic = model.loss_and_grad(inputs, targets, subset, rows=rows)
+                numeric = numerical_gradients(model, inputs, targets, subset, step=step, rows=rows)
+                worst = max(worst, max_relative_error(analytic, numeric))
     return worst

@@ -1,10 +1,16 @@
 """Mini-batch training loop, optimizers and checkpoint persistence.
 
 Training pairs a sample's visual feature with its class's semantic
-vectors. Every epoch the pairs are reshuffled (seeded), split into
+vectors. Every epoch the samples are reshuffled (seeded), split into
 mini-batches (the last batch may be short), and one optimizer step is
-taken per batch. The learning rate at epoch ``e`` is exactly
-``lr * lr_decay ** e``.
+taken per batch. A batch's semantic inputs hold one row per distinct
+class of the batch, in class order, and each sample names its class's
+row (``rows`` of ``EmbeddingModel.loss_and_grad``), so the semantic
+branch runs once per class and not once per sample. Checkpoints written
+by versions that ran it per sample are not byte-equal to new ones (the
+sums differ in their last bits); reruns and ``ablate --jobs`` settings
+stay byte-identical to one another. The learning rate at epoch ``e`` is
+exactly ``lr * lr_decay ** e``.
 
 Checkpoints are a single binary file: magic ``ZSLC``, u32 LE version,
 a length-prefixed ``key = value`` text block holding the architecture
@@ -159,11 +165,13 @@ def train(
 
     The model holds the heads of ``active`` and the shared layer (s2v) or
     the visual map (v2s), as ``init_model`` draws them for ``net_config``.
-    The same seed drives both initialization and shuffling, so the run is
-    fully deterministic. Returns the trained model and per-epoch history.
-    Raises ValueError naming the epoch and batch if a batch loss is not
-    finite or more than ``DIVERGENCE_RATIO`` times the first batch's, as
-    when too large a learning rate makes training diverge.
+    Each batch's semantic inputs hold one row per distinct class, in class
+    order, with ``rows`` naming each sample's. The same seed drives both
+    initialization and shuffling, so the run is fully deterministic.
+    Returns the trained model and per-epoch history. Raises ValueError
+    naming the epoch and batch if a batch loss is not finite or more than
+    ``DIVERGENCE_RATIO`` times the first batch's, as when too large a
+    learning rate makes training diverge.
     """
     tags = net_config.check_active(active)
     if net_config.embed_dim != dataset.visual.dim:
@@ -177,9 +185,10 @@ def train(
     if n == 0:
         raise ValueError("empty training set")
     targets = dataset.visual.values
-    # one semantic row per seen class; a sample's row is at its label's position
+    # one semantic row per seen class; a sample's class is at its label's position
     classes, positions = np.unique(dataset.visual.labels, return_inverse=True)
     semantics = {tag: dataset.table(tag).matrix(classes) for tag in tags}
+    slot = np.empty(classes.size, dtype=np.intp)  # each class's row in the current batch
 
     optimizer = (Adam if train_config.optimizer == "adam" else SgdMomentum)(model.params, train_config)
     grads = ParamBuffer(param_shapes(model.config))  # every step overwrites it
@@ -191,9 +200,11 @@ def train(
         total = 0.0
         for start in range(0, n, train_config.batch_size):
             idx = order[start : start + train_config.batch_size]
-            rows = positions[idx]
-            batch = {tag: semantics[tag][rows] for tag in tags}
-            loss, _ = model.loss_and_grad(batch, targets[idx], tags, out=grads)
+            labels = positions[idx]
+            present = np.flatnonzero(np.bincount(labels))  # the batch's classes, in class order
+            slot[present] = np.arange(present.size)
+            batch = {tag: semantics[tag][present] for tag in tags}
+            loss, _ = model.loss_and_grad(batch, targets[idx], tags, out=grads, rows=slot[labels])
             first = loss if first is None else first
             if not math.isfinite(loss) or loss > DIVERGENCE_RATIO * first:
                 raise ValueError(

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zsl_embed import network as network_module
 from zsl_embed.network import (
     NetConfig,
     ParamBuffer,
@@ -29,7 +34,7 @@ def toy_config(direction=S_TO_V, **kw):
     return NetConfig(**base)
 
 
-def finite_difference(model, inputs, targets, active, step=1e-5):
+def finite_difference(model, inputs, targets, active, step=1e-5, rows=None):
     """Independent central-difference loop over every parameter entry."""
     grads = {}
     for name, param in model.params.items():
@@ -39,9 +44,9 @@ def finite_difference(model, inputs, targets, active, step=1e-5):
             idx = it.multi_index
             orig = param[idx]
             param[idx] = orig + step
-            hi = model.loss(inputs, targets, active)
+            hi = model.loss(inputs, targets, active, rows)
             param[idx] = orig - step
-            lo = model.loss(inputs, targets, active)
+            lo = model.loss(inputs, targets, active, rows)
             param[idx] = orig
             g[idx] = (hi - lo) / (2 * step)
             it.iternext()
@@ -180,6 +185,9 @@ def test_forward_errors():
         model.embed({"A": np.ones((1, 4))}, ("A",))
     with pytest.raises(ValueError, match="no input provided for modality B"):
         model.embed({"A": np.ones((1, 3))}, ("A", "B"))
+    # a one-row input would broadcast over the other modality's rows
+    with pytest.raises(ValueError, match="modality B: 1 rows for 2 rows of modality A"):
+        model.embed({"A": np.ones((2, 3)), "B": np.ones((1, 2))}, ("A", "B"))
 
 
 @pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
@@ -286,6 +294,58 @@ def test_loss_errors():
                             np.ones((2, 5)), ("A", "B"))
 
 
+# per class: samples 0, 2 and 3 share class row 1; one class; every sample its own class
+CLASS_ROWS = {"repeats": [1, 0, 1, 1, 2], "one class": [0, 0, 0], "all distinct": [2, 0, 3, 1]}
+
+
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+@pytest.mark.parametrize("rows", CLASS_ROWS.values(), ids=CLASS_ROWS.keys())
+def test_class_rows_match_per_sample_rows(direction, rows):
+    rng = np.random.default_rng(zlib.crc32(f"{direction}|{rows}".encode()))
+    model = init_model(toy_config(direction, l2_lambda=1e-3), seed=7)
+    jitter(model, rng)
+    rows = np.array(rows)
+    k = rows.max() + 1
+    classes = {"A": rng.normal(size=(k, 3)), "B": rng.normal(size=(k, 2))}
+    samples = {t: v[rows] for t, v in classes.items()}
+    targets = rng.uniform(0, 1, size=(rows.size, 5))
+    loss, grads = model.loss_and_grad(classes, targets, ("A", "B"), rows=rows)
+    want, expected = model.loss_and_grad(samples, targets, ("A", "B"))
+    assert loss == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert model.loss(classes, targets, ("A", "B"), rows=rows) == loss
+    for name, g in expected.items():
+        np.testing.assert_allclose(grads[name], g, rtol=1e-12, atol=0.0, err_msg=name)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[0], [1], [0]], r"shape \(3,\), got \(3, 1\)"),
+        ([0, 1], r"shape \(3,\), got \(2,\)"),
+        ([0.0, 1.0, 0.0], r"rows\[0\] = 0.0 is not an integer class-row index \(dtype float64\)"),
+        ([True, False, True], r"rows\[0\] = True is not an integer class-row index \(dtype bool\)"),
+        ([0, -1, 1], r"rows\[1\] = -1 is outside \[0, 2\)"),
+        ([0, 1, 2], r"rows\[2\] = 2 is outside \[0, 2\)"),
+    ],
+)
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+def test_bad_class_rows_are_rejected(direction, rows, message):
+    model = init_model(toy_config(direction), seed=0)
+    inputs = {"A": np.ones((2, 3)), "B": np.ones((2, 2))}
+    for call in (model.loss, model.loss_and_grad):
+        with pytest.raises(ValueError, match=message):
+            call(inputs, np.ones((3, 5)), ("A", "B"), rows=rows)
+
+
+def test_class_rows_need_the_same_rows_in_every_input():
+    # with rows the inputs hold class rows, whatever the number of targets
+    model = init_model(toy_config(), seed=0)
+    rows = np.array([0, 1, 1, 0])
+    with pytest.raises(ValueError, match="modality B: 3 rows for 2 rows of modality A"):
+        model.loss_and_grad({"A": np.ones((2, 3)), "B": np.ones((3, 2))}, np.ones((4, 5)), ("A", "B"), rows=rows)
+    model.loss_and_grad({"A": np.ones((2, 3)), "B": np.ones((2, 2))}, np.ones((4, 5)), ("A", "B"), rows=rows)
+
+
 def test_trainable_params_by_direction():
     # a model holds its heads and the stack its direction trains: out for s2v, vmap for v2s
     head_a = {"head.A.W1", "head.A.b1", "head.A.W2", "head.A.b2"}
@@ -317,7 +377,9 @@ def test_training_a_proper_subset_of_the_heads_raises(direction):
 # gradients against an independent finite-difference loop
 
 
-def random_instance(rng, direction, active=("A", "B"), tags=("A", "B")):
+def random_instance(rng, direction, active=("A", "B"), tags=("A", "B"), class_rows=False):
+    """A jittered model, its inputs and targets, and ``rows``: None, or with
+    ``class_rows`` up to 3 class rows shared by more samples, so classes repeat."""
     dims = {t: int(rng.integers(2, 9)) for t in tags}
     cfg = NetConfig(
         modality_dims=dims,
@@ -330,21 +392,24 @@ def random_instance(rng, direction, active=("A", "B"), tags=("A", "B")):
     model = init_model(cfg, seed=int(rng.integers(0, 2**31)), tags=active)
     jitter(model, rng)
     m = int(rng.integers(1, 5))
-    inputs = {t: rng.normal(size=(m, dims[t])) for t in tags}
-    targets = rng.uniform(0, 1, size=(m, cfg.embed_dim))
-    return model, inputs, targets
+    k = int(rng.integers(1, 4)) if class_rows else m
+    rows = rng.integers(0, k, size=m + k) if class_rows else None
+    inputs = {t: rng.normal(size=(k, dims[t])) for t in tags}
+    targets = rng.uniform(0, 1, size=(m if rows is None else rows.size, cfg.embed_dim))
+    return model, inputs, targets, rows
 
 
 @pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
 @pytest.mark.parametrize("active", [("A",), ("B",), ("A", "B")])
 def test_gradients_match_finite_differences(direction, active):
     rng = np.random.default_rng(zlib.crc32(f"{direction}|{active}".encode()))
-    model, inputs, targets = random_instance(rng, direction, active)
-    _, analytic = model.loss_and_grad(inputs, targets, active)
-    numeric = finite_difference(model, inputs, targets, active)
-    assert set(analytic) == set(numeric)
-    err = max_relative_error(analytic, numeric)
-    assert err < 1e-6
+    for class_rows in (False, True):
+        model, inputs, targets, rows = random_instance(rng, direction, active, class_rows=class_rows)
+        _, analytic = model.loss_and_grad(inputs, targets, active, rows=rows)
+        numeric = finite_difference(model, inputs, targets, active, rows=rows)
+        assert set(analytic) == set(numeric)
+        err = max_relative_error(analytic, numeric)
+        assert err < 1e-6, f"class_rows={class_rows}"
 
 
 def test_gradient_with_regularization_includes_weight_term():
@@ -362,7 +427,7 @@ def test_gradient_with_regularization_includes_weight_term():
 @pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
 def test_numerical_gradients_equal_the_independent_loop_bitwise(direction):
     rng = np.random.default_rng(zlib.crc32(direction.encode()))
-    model, inputs, targets = random_instance(rng, direction)
+    model, inputs, targets, _ = random_instance(rng, direction)
     numeric = numerical_gradients(model, inputs, targets, ("A", "B"), step=1e-5)
     expected = finite_difference(model, inputs, targets, ("A", "B"))
     assert isinstance(numeric, ParamBuffer)
@@ -458,3 +523,33 @@ def test_l2_penalty_equals_the_per_array_sum(direction, active):
     )
     loss = model.loss(inputs, np.zeros((3, 5)), active)
     assert loss == pytest.approx(lam * reference, rel=1e-12, abs=0.0)
+
+
+PENALTY_CHILD = """
+import sys
+import numpy as np
+from zsl_embed.network import NetConfig, S_TO_V, V_TO_S, init_model
+for direction in (S_TO_V, V_TO_S):
+    config = NetConfig({"A": 300}, head_hidden=64, head_out=128, embed_dim=256,
+                       direction=direction, l2_lambda=1e-3)
+    model = init_model(config, seed=3)
+    assert model.weights.stop > 20_000
+    # zero inputs, targets and biases: the loss is the penalty alone
+    inputs = {"A": np.zeros((2, 300))}
+    sys.stdout.write(model.loss(inputs, np.zeros((2, 256)), ("A",)).hex())
+"""
+
+
+def test_l2_penalty_does_not_depend_on_the_blas_thread_count():
+    # OpenBLAS threads a ddot of more than 10,000 terms, which changes its rounding
+    src = str(Path(network_module.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", PENALTY_CHILD],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zsl_embed import network
 from zsl_embed.data import Dataset, FeatureMatrix, SemanticTable
 from zsl_embed.network import NetConfig, ParamBuffer, S_TO_V, V_TO_S, init_model
 from zsl_embed.synthetic import SynthConfig, generate
@@ -236,6 +237,14 @@ def test_flat_optimizer_matches_per_array_loop_bitwise(opt_cls, reference, cfg):
 # training loop
 
 
+def class_rows(ds, tags, idx):
+    """The batch ``train`` documents for samples ``idx``: one semantic row per
+    distinct class, in class order, and each sample's row among them."""
+    ids = np.unique(ds.visual.labels[idx])
+    rows = np.searchsorted(ids, ds.visual.labels[idx])
+    return {t: ds.table(t).matrix(ids) for t in tags}, rows
+
+
 def test_train_deterministic():
     ds = tiny_dataset()
     cfg = TrainConfig(lr=1e-3, batch_size=3, epochs=5, seed=4)
@@ -272,7 +281,6 @@ def test_untrained_parameters_stay_bitwise_equal(direction, optimizer):
     ref = init_model(net, cfg.seed, ("A",))
     fresh = init_model(net, cfg.seed, ("A",))
     opt = (Adam if optimizer == "adam" else SgdMomentum)(ref.params, cfg)
-    semantics = ds.table("A").matrix(ds.visual.labels)
     n = ds.visual.rows
     order_rng = np.random.default_rng(cfg.seed)
     losses = []
@@ -281,7 +289,8 @@ def test_untrained_parameters_stay_bitwise_equal(direction, optimizer):
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grads = ref.loss_and_grad({"A": semantics[idx]}, ds.visual.values[idx], ("A",))
+            batch, rows = class_rows(ds, ("A",), idx)
+            loss, grads = ref.loss_and_grad(batch, ds.visual.values[idx], ("A",), rows=rows)
             opt.step(grads.flat)
             total += loss * idx.size
         losses.append(total / n)
@@ -296,7 +305,8 @@ def test_untrained_parameters_stay_bitwise_equal(direction, optimizer):
 
 
 def test_train_matches_per_sample_semantic_rows():
-    """Batches gathered from one row per class equal the per-sample rows."""
+    """Each batch's class rows, found from the per-sample labels of unsorted,
+    non-contiguous class ids, are the ones ``train`` gathers."""
     rng = np.random.default_rng(5)
     labels = np.array([11, 2, 7, 2, 11, 11, 7, 2, 7])  # unsorted, non-contiguous ids
     visual = FeatureMatrix(rng.uniform(0, 1, (9, 4)), labels)
@@ -308,16 +318,43 @@ def test_train_matches_per_sample_semantic_rows():
 
     ref = init_model(tiny_net(), cfg.seed)
     opt = Adam(ref.params, cfg)
-    semantics = {t: ds.table(t).matrix(labels) for t in "AB"}
     order_rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):
         order = order_rng.permutation(9)
         for start in range(0, 9, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch = {t: semantics[t][idx] for t in "AB"}
-            opt.step(ref.loss_and_grad(batch, visual.values[idx], ("A", "B"))[1].flat)
+            batch, rows = class_rows(ds, "AB", idx)
+            opt.step(ref.loss_and_grad(batch, visual.values[idx], ("A", "B"), rows=rows)[1].flat)
     assert model.params.flat.tobytes() == ref.params.flat.tobytes()
     assert len(history) == 3
+
+
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+def test_train_runs_the_heads_once_per_class_of_a_batch(monkeypatch, direction):
+    ds = generate(SynthConfig(n_classes=8, n_seen=6, samples_per_class=10, seed=2))
+    cfg = TrainConfig(lr=1e-3, batch_size=16, epochs=2, seed=3)
+    net = NetConfig(ds.modality_dims(), head_hidden=4, head_out=3, embed_dim=ds.visual.dim,
+                    direction=direction)
+    seen = []
+    forward = network.ReluStack.forward
+
+    def recording(stack, x):
+        seen.append((stack.names[0][0], x.shape[0]))
+        return forward(stack, x)
+
+    monkeypatch.setattr(network.ReluStack, "forward", recording)
+    train(ds, net, cfg, net.tags)
+    order_rng = np.random.default_rng(cfg.seed)
+    distinct = []
+    for _ in range(cfg.epochs):
+        order = order_rng.permutation(ds.visual.rows)
+        for start in range(0, ds.visual.rows, cfg.batch_size):
+            distinct.append(np.unique(ds.visual.labels[order[start : start + cfg.batch_size]]).size)
+    assert max(distinct) < cfg.batch_size  # so a per-sample forward would show
+    for tag in net.tags:
+        rows = [n for name, n in seen if name == f"head.{tag}.W1"]
+        assert len(rows) == len(distinct)
+        assert all(n <= d for n, d in zip(rows, distinct)), (tag, rows, distinct)
 
 
 def test_lr_schedule_is_exact_power():
