@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    common(p)
+    p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--checkpoint", required=True, help="trained model checkpoint")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--metric", choices=METRIC_KINDS, help="distance metric")

@@ -55,8 +55,10 @@ class FeatureMatrix:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        # private copies: freezing must not touch the caller's arrays
-        values = np.array(self.values, dtype=np.float64)
+        # private copies: freezing must not touch the caller's arrays; a signalling
+        # NaN warns as it is cast, and the row check below names its row instead
+        with np.errstate(invalid="ignore"):
+            values = np.array(self.values, dtype=np.float64)
         labels = np.array(self.labels, dtype=np.int64)
         if values.ndim != 2:
             raise ValueError(f"feature values must be 2-D, got shape {values.shape}")

@@ -382,13 +382,6 @@ class EmbeddingModel:
         return loss, grads
 
 
-def _drawn_layers(config: NetConfig):
-    """Every layer ``init_model`` draws for ``config``, in draw order: the
-    heads, the shared layer, then for v2s the visual map."""
-    drawn = {**_stacks(dataclasses.replace(config, direction=S_TO_V)), **_stacks(config)}
-    return [layer for layers in drawn.values() for layer in layers]
-
-
 def init_model(config: NetConfig, seed: int, tags: Iterable[str] | None = None) -> EmbeddingModel:
     """Deterministically initialized model holding the heads of ``tags``.
 
@@ -404,7 +397,9 @@ def init_model(config: NetConfig, seed: int, tags: Iterable[str] | None = None) 
     dims = {t: config.modality_dims[t] for t in held}
     model = EmbeddingModel(dataclasses.replace(config, modality_dims=dims))
     rng = np.random.default_rng(seed)
-    for w, _, (out_dim, in_dim) in _drawn_layers(config):
+    # the heads, the shared layer, then for v2s the visual map
+    drawn = {**_stacks(dataclasses.replace(config, direction=S_TO_V)), **_stacks(config)}
+    for w, _, (out_dim, in_dim) in (layer for layers in drawn.values() for layer in layers):
         scale = np.sqrt(6.0 / (in_dim + out_dim))
         draw = rng.uniform(-scale, scale, size=(out_dim, in_dim))
         if w in model.params:
@@ -487,12 +482,7 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
                 l2_lambda=float(rng.uniform(0.0, 1e-3)),
             )
             model = init_model(config, seed=int(rng.integers(0, 2**31)))
-            # jitter drawn for every array init_model draws, in its order, held or not
-            for w, b, shape in _drawn_layers(config):
-                for name, size in ((w, shape), (b, shape[:1])):
-                    jitter = rng.uniform(-0.3, 0.3, size=size)
-                    if name in model.params:
-                        model.params[name] += jitter
+            model.params.flat += rng.uniform(-0.3, 0.3, size=model.params.flat.size)
             m = int(rng.integers(1, 5))
             k = int(rng.integers(1, 4))
             # m samples with a row each, then m + k samples on k class rows

@@ -14,11 +14,12 @@ exactly ``lr * lr_decay ** e``.
 
 Checkpoints are a single binary file: magic ``ZSLC``, u32 LE version,
 a length-prefixed ``key = value`` text block holding the architecture
-config, the parameter arrays (name, shape, float64 LE data), and a
-trailing CRC32 of everything before it. Round-trips are bit-exact.
-Saving and loading stream each array straight between the file and the
-model, updating the CRC32 as they go, so neither holds a copy of the
-file; a loaded model is returned only after its CRC32 has been verified.
+config, the model's flat parameter vector (float64 LE, in ``param_shapes``
+order, which the config fixes), and a trailing CRC32 of everything before
+it. Round-trips are bit-exact. Saving and loading stream the vector
+straight between the file and the model, updating the CRC32 as they go,
+so neither holds a copy of the file; a loaded model is returned only
+after its CRC32 has been verified.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .data import Dataset
 from .network import EmbeddingModel, NetConfig, ParamBuffer, _BLOCK, _blocks, init_model, param_shapes
 
 CHECKPOINT_MAGIC = b"ZSLC"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 OPTIMIZERS = ("adam", "sgd")
 
@@ -258,38 +259,27 @@ def _decode_config(blob: bytes) -> NetConfig:
         raise ValueError(f"corrupted payload (config block: {exc})") from None
 
 
-def _records(params: ParamBuffer):
-    """Each parameter's name, record header (name and shape) and array, in file order."""
-    for name in sorted(params):
-        arr = params[name]
-        encoded = name.encode("utf-8")
-        header = struct.pack(f"<H{len(encoded)}sB{arr.ndim}Q", len(encoded), encoded, arr.ndim, *arr.shape)
-        yield name, header, arr
-
-
-def _check_finite(path: str | Path, name: str, arr: np.ndarray) -> None:
-    """Two reductions (NaN propagates through both), so no temporary is allocated."""
-    if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
-        raise ValueError(f"{path}: parameter {name} is not finite")
+def _check_finite(path: str | Path, params: ParamBuffer) -> None:
+    """Two reductions per array (NaN propagates through both), so no temporary
+    is allocated; the error names the first non-finite parameter in buffer order."""
+    for name, arr in params.items():
+        if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+            raise ValueError(f"{path}: parameter {name} is not finite")
 
 
 def save_checkpoint(model: EmbeddingModel, path: str | Path) -> None:
     """Serialize config and parameters; identical models produce identical bytes.
 
-    Each array is written straight from the model, with the CRC32 updated
-    as it goes. Raises ValueError naming the parameter, before the file is
-    opened, if any value is not finite.
+    The parameter vector is written straight from the model in one chunk,
+    with the CRC32 updated as it goes. Raises ValueError naming the
+    parameter, before the file is opened, if any value is not finite.
     """
-    records = list(_records(model.params))
-    for name, _, arr in records:
-        _check_finite(path, name, arr)
+    _check_finite(path, model.params)
     blob = _encode_config(model.config)
-    chunks = [struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob)), blob]
-    chunks.append(struct.pack("<I", len(records)))
-    chunks += [part for _, header, arr in records for part in (header, arr.astype("<f8", copy=False))]
+    head = struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob))
     crc = 0
     with open(path, "wb") as fh:
-        for chunk in chunks:
+        for chunk in (head, blob, model.params.flat.astype("<f8", copy=False)):
             crc = zlib.crc32(chunk, crc)
             fh.write(chunk)
         fh.write(struct.pack("<I", crc))
@@ -298,54 +288,39 @@ def save_checkpoint(model: EmbeddingModel, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> EmbeddingModel:
     """Read a checkpoint back into a model, verifying the trailing checksum.
 
-    Every length the file gives is checked against its size before
-    anything is read or allocated, and each array is read straight into
-    the model with the CRC32 updated as it goes. The config block fixes
-    every parameter's name and shape, so each record header must match
-    the one ``save_checkpoint`` would write. Once the CRC32 has passed,
-    every parameter value must be finite.
+    The config block fixes every parameter's name, shape and place in the
+    flat vector, so the bytes after it must be exactly that vector; its
+    size is checked against the file's before anything is allocated, and
+    it is read straight into the model with the CRC32 updated as it goes.
+    Once the CRC32 has passed, every parameter value must be finite.
     """
     with open(path, "rb") as fh:
-        head = fh.read(8)
+        head = fh.read(12)
         if len(head) < 8 or head[:4] != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: malformed header")
         (version,) = struct.unpack_from("<I", head, 4)
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        body = os.fstat(fh.fileno()).st_size - 4  # everything before the trailing CRC32
-        crc = zlib.crc32(head)
-
-        def take(n: int, into: np.ndarray | None = None) -> memoryview:
-            """The next ``n`` body bytes, read into ``into`` if given."""
-            nonlocal crc
-            if fh.tell() + n > body:
-                raise ValueError(f"{path}: corrupted payload (truncated)")
-            view = memoryview(bytearray(n) if into is None else into).cast("B")
-            if fh.readinto(view) != n:
-                raise ValueError(f"{path}: corrupted payload (truncated)")
-            crc = zlib.crc32(view, crc)
-            return view
-
-        (config_len,) = struct.unpack("<I", take(4))
+        config_len = int.from_bytes(head[8:], "little")  # a file under 12 bytes fails below
+        # the parameter bytes: what follows the config block, less the trailing CRC32
+        payload = os.fstat(fh.fileno()).st_size - 16 - config_len
+        if payload < 0:
+            raise ValueError(f"{path}: corrupted payload (truncated)")
+        blob = fh.read(config_len)
         try:
-            config = _decode_config(bytes(take(config_len)))
+            config = _decode_config(blob)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        if 8 * sum(math.prod(shape) for shape in param_shapes(config).values()) > body:
-            raise ValueError(f"{path}: corrupted payload (truncated)")
+        need = 8 * sum(math.prod(shape) for shape in param_shapes(config).values())
+        if payload != need:
+            raise ValueError(f"{path}: corrupted payload ({payload} parameter bytes, the config needs {need})")
         model = EmbeddingModel(config)
-        if take(4) != struct.pack("<I", len(model.params)):
-            raise ValueError(f"{path}: corrupted payload (parameter set mismatch)")
-        for _, header, arr in _records(model.params):
-            if take(len(header)) != header:
-                raise ValueError(f"{path}: corrupted payload (parameter set mismatch)")
-            take(arr.nbytes, arr)
-        if fh.tell() != body:
-            raise ValueError(f"{path}: corrupted payload (trailing bytes)")
+        view = memoryview(model.params.flat).cast("B")
+        fh.readinto(view)  # a short read leaves the CRC32 unread, and so mismatched
+        crc = zlib.crc32(view, zlib.crc32(blob, zlib.crc32(head)))
         if fh.read(4) != struct.pack("<I", crc):
             raise ValueError(f"{path}: corrupted payload (checksum mismatch)")
     if not np.little_endian:
         model.params.flat.byteswap(inplace=True)
-    for name, arr in model.params.items():
-        _check_finite(path, name, arr)
+    _check_finite(path, model.params)
     return model

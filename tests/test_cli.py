@@ -1,11 +1,16 @@
 import dataclasses
+import os
 import re
 import shlex
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zsl_embed
 from zsl_embed import evaluation
 from zsl_embed.cli import _config_from, build_parser, dispatch, read_config_file
 from zsl_embed.evaluation import REPORT_HEADER, AblationCell, EvalResult, cell_seed
@@ -402,6 +407,33 @@ def test_ablate_report_has_one_row_per_distinct_cell(tmp_path, capsys):
 def test_ablate_axes_come_only_from_the_config(flag, tmp_path, capsys):
     assert dispatch(["ablate", "--data", str(tmp_path), "--out", str(tmp_path / "g.csv"), *flag]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_eval_takes_no_seed(tmp_path, capsys):
+    argv = ["eval", "--checkpoint", str(tmp_path / "m.ckpt"), "--data", str(tmp_path)]
+    assert dispatch([*argv, "--seed", "-5"]) == 2
+    assert "unrecognized arguments: --seed -5" in capsys.readouterr().err
+
+
+def test_eval_of_a_signalling_nan_feature_prints_only_its_error_line(cfg_path, tmp_path, capsys):
+    data = tmp_path / "data"
+    assert dispatch(["synth", "--config", str(cfg_path), "--out", str(data)]) == 0
+    capsys.readouterr()
+    feature = data / "test_visual.zslf"
+    raw = bytearray(feature.read_bytes())
+    (rows,) = struct.unpack_from("<Q", raw, 8)
+    struct.pack_into("<I", raw, 24 + 8 * rows, 0x7FA00000)  # row 0's first value
+    feature.write_bytes(bytes(raw))
+    # a child process, so that numpy's cast warning would print as it does on the CLI
+    src = str(Path(zsl_embed.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "zsl_embed.cli", "eval", "--checkpoint", str(tmp_path / "m.ckpt"),
+         "--data", str(data)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {feature}: non-finite value at row 0\n"
 
 
 def test_readme_experiments_grid_has_sixty_rows(tmp_path, monkeypatch, capsys):

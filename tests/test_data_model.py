@@ -1,3 +1,4 @@
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -211,12 +212,14 @@ def test_empty_file_malformed_header(tmp_path):
 
 
 def test_binary_nan_payload_reports_row(tmp_path):
+    # a quiet NaN, then a signalling one (0x7FA00000), whose cast to float64 sets
+    # numpy's invalid flag: the error must still be the row's, not a warning
     header = struct.pack("<4sIQQ", b"ZSLF", 1, 1, 2)
-    payload = struct.pack("<Q", 0) + struct.pack("<2f", 1.0, float("nan"))
     p = tmp_path / "bad.zslf"
-    p.write_bytes(header + payload)
-    with pytest.raises(ValueError, match="non-finite value at row 0"):
-        load_feature_matrix(p)
+    for nan in (0x7FC00000, 0x7FA00000):
+        p.write_bytes(header + struct.pack("<Q", 0) + struct.pack("<fI", 1.0, nan))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: non-finite value at row 0$"):
+            load_feature_matrix(p)
 
 
 def test_binary_bad_magic(tmp_path):

@@ -490,6 +490,24 @@ def test_param_shapes_put_every_weight_before_every_bias(direction):
     assert model.weights == slice(0, size)
 
 
+# checkpoints store params.flat in this order with no names or shapes: a reorder
+# needs a new checkpoint version
+PINNED_LAYOUTS = {
+    S_TO_V: [("head.A.W1", (4, 3)), ("head.A.W2", (3, 4)), ("head.B.W1", (4, 2)), ("head.B.W2", (3, 4)),
+             ("out.W3", (5, 3)), ("head.A.b1", (4,)), ("head.A.b2", (3,)), ("head.B.b1", (4,)),
+             ("head.B.b2", (3,)), ("out.b3", (5,))],
+    V_TO_S: [("head.A.W1", (4, 3)), ("head.A.W2", (3, 4)), ("head.B.W1", (4, 2)), ("head.B.W2", (3, 4)),
+             ("vmap.W1", (3, 5)), ("vmap.W2", (4, 3)), ("vmap.W3", (3, 4)), ("head.A.b1", (4,)),
+             ("head.A.b2", (3,)), ("head.B.b1", (4,)), ("head.B.b2", (3,)), ("vmap.b1", (3,)),
+             ("vmap.b2", (4,)), ("vmap.b3", (3,))],
+}
+
+
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+def test_param_shapes_layout_is_pinned(direction):
+    assert list(param_shapes(toy_config(direction=direction)).items()) == PINNED_LAYOUTS[direction]
+
+
 @pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
 def test_weight_slice_with_a_modality_tagged_w(direction):
     # the names head.W.b1 and head.W.b2 contain ".W"; the penalty still covers no bias

@@ -459,20 +459,43 @@ def test_v2s_model_and_checkpoint_hold_no_shared_layer(tmp_path):
     assert [name for name in model.params if name.startswith("out.")] == []
     p = tmp_path / "m.ckpt"
     save_checkpoint(model, p)
-    assert b"out.W3" not in p.read_bytes()
+    data = p.read_bytes()
+    (config_len,) = struct.unpack_from("<I", data, 8)
+    assert len(data) == 12 + config_len + 8 * model.params.flat.size + 4
     assert set(load_checkpoint(p).params) == set(model.params)
+
+
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+def test_checkpoint_stores_the_flat_parameter_vector_after_the_config(tmp_path, direction):
+    model = trained_model(direction)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(model, p)
+    data = p.read_bytes()
+    (config_len,) = struct.unpack_from("<I", data, 8)
+    assert data[12 + config_len : -4] == model.params.flat.astype("<f8").tobytes()
+    assert data[-4:] == struct.pack("<I", zlib.crc32(data[:-4]))
+
+
+def assert_version_rejected(tmp_path, old):
+    """A version-3 checkpoint relabelled as ``old`` and resealed does not load."""
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(trained_model(), p)
+    body = bytearray(p.read_bytes()[:-4])
+    assert body[4:8] == struct.pack("<I", 3)
+    body[4:8] = struct.pack("<I", old)
+    p.write_bytes(resealed(bytes(body)))
+    with pytest.raises(ValueError, match=f"unsupported version {old}"):
+        load_checkpoint(p)
 
 
 def test_checkpoint_version_1_is_rejected(tmp_path):
     # version 1 files held every configured head and a v2s shared layer
-    p = tmp_path / "m.ckpt"
-    save_checkpoint(trained_model(), p)
-    body = bytearray(p.read_bytes()[:-4])
-    assert body[4:8] == struct.pack("<I", 2)
-    body[4:8] = struct.pack("<I", 1)
-    p.write_bytes(resealed(bytes(body)))
-    with pytest.raises(ValueError, match="unsupported version 1"):
-        load_checkpoint(p)
+    assert_version_rejected(tmp_path, 1)
+
+
+def test_checkpoint_version_2_is_rejected(tmp_path):
+    # version 2 files held one record per parameter array, named and sorted by name
+    assert_version_rejected(tmp_path, 2)
 
 
 def test_checkpoint_truncated(tmp_path):
@@ -521,13 +544,18 @@ def with_config(body: bytes, old: bytes, new: bytes) -> bytes:
     return body[:8] + struct.pack("<I", len(config)) + config + body[12 + n :]
 
 
+SIZE_MESSAGE = r"corrupted payload \(\d+ parameter bytes, the config needs \d+\)"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda b: b.replace(b"head.A.W1", b"head.A.W9"), "parameter set mismatch"),
-        (lambda b: with_config(b, b"head_hidden = 4", b"head_hidden = 5"), "parameter set mismatch"),
-        (lambda b: b + b"\x00" * 8, "trailing bytes"),
-        (lambda b: with_config(b, b"embed_dim = 4", b"embed_dim = 10000000"), "truncated"),
+        pytest.param(lambda b: with_config(b, b"head_hidden = 4", b"head_hidden = 5"), SIZE_MESSAGE,
+                     id="wider-head-hidden"),
+        pytest.param(lambda b: b + b"\x00" * 8, SIZE_MESSAGE, id="trailing-bytes"),
+        pytest.param(lambda b: b[:-8], SIZE_MESSAGE, id="short-payload"),
+        pytest.param(lambda b: with_config(b, b"embed_dim = 4", b"embed_dim = 10000000"), SIZE_MESSAGE,
+                     id="huge-embed-dim"),
         (lambda b: b.replace(b"direction = s2v", b"direction = up"), "config block"),
         pytest.param(lambda b: with_config(b, b"head_out = 3", b"head_out = 3\nshuffle = True"),
                      r"config block: keys \[.*'shuffle'", id="extra-config-key"),
@@ -561,9 +589,9 @@ def test_load_checkpoint_rejects_non_finite_parameter(tmp_path):
     p = tmp_path / "m.ckpt"
     save_checkpoint(model, p)
     body = p.read_bytes()[:-4]
-    # the last 8 body bytes are the last entry of the last parameter in file order
+    # the last 8 body bytes are the last entry of the last parameter in buffer order
     p.write_bytes(resealed(body[:-8] + struct.pack("<d", np.inf)))
-    with pytest.raises(ValueError, match=f"parameter {sorted(model.params)[-1]} is not finite"):
+    with pytest.raises(ValueError, match=f"parameter {list(model.params)[-1]} is not finite"):
         load_checkpoint(p)
 
 
