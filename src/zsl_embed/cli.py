@@ -12,7 +12,9 @@ section prefixes (``net.head_out``, ``train.lr``, ``synth.n_classes``,
 values. The ``net``, ``train``, ``synth`` and ``metric`` keys are the
 fields of ``NetConfig``, ``TrainConfig``, ``SynthConfig`` and ``MetricKind``
 that have defaults; the ``ablate`` keys set the grid's axes, and an axis
-left unset takes ``evaluation.ablate``'s default. Unknown keys are
+left unset takes ``evaluation.ablate``'s default, except that a set
+``net.direction`` is the only direction and the metrics are the one the
+``metric`` keys set plus euclidean. Unknown keys are
 rejected. The ``ZSL_EMBED_LOG`` environment variable (error, info, debug)
 controls log verbosity.
 """
@@ -112,7 +114,7 @@ def _parse_modality_specs(value: str) -> tuple[ModalitySpec, ...]:
             )
         given = [_parse_value("synth.modalities", v, kind)
                  for v, kind in zip(parts[1:], (int, float, float))]
-        specs.append(ModalitySpec(parts[0], *given))  # its defaults fill the parts not given
+        specs.append(ModalitySpec(parts[0].strip(), *given))  # its defaults fill the parts not given
     return tuple(specs)
 
 
@@ -200,7 +202,7 @@ def _cmd_train(args) -> int:
     history_path = out.with_name(out.stem + "_history.csv")
     save_history(history, history_path)
     log.info("loss %.6g -> %.6g", history.losses[0], history.losses[-1])
-    print(f"trained {len(history)} epochs -> {out} (history: {history_path})")
+    print(f"trained {len(history.losses)} epochs -> {out} (history: {history_path})")
     return 0
 
 
@@ -226,16 +228,18 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     entries = read_config_file(args.config) if args.config else {}
     dataset = load_dataset(args.data)
+    net_config = _net_config(entries, dataset, None, None)
     grid = {}
     if "ablate.subsets" in entries:
         grid["subsets"] = [_parse_tags(s.replace("+", ",")) for s in entries["ablate.subsets"].split(";")]
     if "ablate.directions" in entries:
         grid["directions"] = tuple(d.strip() for d in entries["ablate.directions"].split(","))
+    elif "net.direction" in entries:
+        grid["directions"] = (net_config.direction,)
     if "ablate.metrics" in entries:
         metrics = tuple(_parse_metric_label(m) for m in entries["ablate.metrics"].split(","))
     else:
         metrics = (_config_from(MetricKind, "metric", entries), MetricKind.euclidean())
-    net_config = _net_config(entries, dataset, None, None)
     train_config = _config_from(TrainConfig, "train", entries, seed=args.seed)
     log.info("ablation grid: %d jobs", args.jobs)
     cells = ablate(dataset, net_config, train_config, metrics=metrics, jobs=args.jobs, **grid)

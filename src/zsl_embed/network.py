@@ -435,20 +435,14 @@ def numerical_gradients(
     return grads
 
 
-def max_relative_error(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray]) -> float:
-    """Largest entrywise deviation, scaled by the largest gradient magnitude."""
-    if set(analytic) != set(numeric):
-        raise ValueError("gradient bundles cover different parameters")
-    diff = 0.0
-    scale = 0.0
-    for name in analytic:
-        diff = max(diff, float(np.max(np.abs(analytic[name] - numeric[name]), initial=0.0)))
-        scale = max(
-            scale,
-            float(np.max(np.abs(analytic[name]), initial=0.0)),
-            float(np.max(np.abs(numeric[name]), initial=0.0)),
-        )
-    return diff / max(scale, 1e-12)
+def max_relative_error(analytic: ParamBuffer, numeric: ParamBuffer) -> float:
+    """Largest entrywise deviation, scaled by the largest gradient magnitude,
+    over two buffers of one layout."""
+    if analytic.flat.size != numeric.flat.size:
+        raise ValueError(f"gradient buffers hold {analytic.flat.size} and {numeric.flat.size} values")
+    diff = np.max(np.abs(analytic.flat - numeric.flat), initial=0.0)
+    scale = max(np.max(np.abs(analytic.flat), initial=0.0), np.max(np.abs(numeric.flat), initial=0.0))
+    return float(diff) / max(float(scale), 1e-12)
 
 
 def gradient_check(seed: int = 0, step: float = 1e-5) -> float:

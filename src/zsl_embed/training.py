@@ -9,8 +9,9 @@ row (``rows`` of ``EmbeddingModel.loss_and_grad``), so the semantic
 branch runs once per class and not once per sample. Checkpoints written
 by versions that ran it per sample are not byte-equal to new ones (the
 sums differ in their last bits); reruns and ``ablate --jobs`` settings
-stay byte-identical to one another. The learning rate at epoch ``e`` is
-exactly ``lr * lr_decay ** e``.
+stay byte-identical to one another. Every step runs at the one ``lr``
+set; Adam uses ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPSILON``, the
+defaults of Kingma and Ba, and SGD uses ``SGD_MOMENTUM``.
 
 Checkpoints are a single binary file: magic ``ZSLC``, u32 LE version,
 a length-prefixed ``key = value`` text block holding the architecture
@@ -46,24 +47,24 @@ OPTIMIZERS = ("adam", "sgd")
 # runs of the synthetic ablation grid stay below 1.1 times
 DIVERGENCE_RATIO = 1e3
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+SGD_MOMENTUM = 0.9
+
 
 @dataclasses.dataclass(frozen=True)
 class TrainConfig:
     """Optimizer choice and loop settings.
 
-    ``optimizer`` is ``adam`` or ``sgd`` (SGD with momentum; momentum 0
-    gives plain SGD). The weight penalty is ``NetConfig.l2_lambda``.
+    ``optimizer`` is ``adam`` or ``sgd`` (SGD with momentum). The weight
+    penalty is ``NetConfig.l2_lambda``.
     """
 
     optimizer: str = "adam"
     lr: float = 1e-4
-    momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 256
     epochs: int = 200
-    lr_decay: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -71,40 +72,26 @@ class TrainConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-        if not 0 < self.beta1 < 1 or not 0 < self.beta2 < 1:
-            raise ValueError("beta1 and beta2 must be in (0, 1)")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if not 0 < self.lr_decay <= 1:
-            raise ValueError("lr_decay must be in (0, 1]")
 
 
 @dataclasses.dataclass
 class TrainHistory:
-    """Per-epoch mean loss and the learning rate each epoch ran with."""
+    """Per-epoch mean loss and the learning rate the run trained at."""
 
+    lr: float
     losses: list[float] = dataclasses.field(default_factory=list)
-    lrs: list[float] = dataclasses.field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.losses)
 
 
 class Adam:
     """Adam with bias correction over a whole flat parameter vector."""
 
-    def __init__(self, params: ParamBuffer, config: TrainConfig):
+    def __init__(self, params: ParamBuffer, lr: float):
         self.params = params
-        self.lr = config.lr
-        self.beta1 = config.beta1
-        self.beta2 = config.beta2
-        self.epsilon = config.epsilon
+        self.lr = lr
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
         self.scratch = np.empty(min(_BLOCK, params.flat.size))
@@ -115,23 +102,23 @@ class Adam:
         if grad.shape != self.params.flat.shape:
             raise ValueError(f"gradient shape {grad.shape} does not match {self.params.flat.shape}")
         self.steps += 1
-        c1 = 1.0 - self.beta1 ** self.steps
-        c2 = 1.0 - self.beta2 ** self.steps
+        c1 = 1.0 - ADAM_BETA1 ** self.steps
+        c2 = 1.0 - ADAM_BETA2 ** self.steps
         for p, g, m, v in _blocks(self.params.flat, grad, self.m, self.v):
             s = self.scratch[: p.size]
-            np.multiply(g, 1.0 - self.beta1, out=s)
-            m *= self.beta1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+            m *= ADAM_BETA1
             m += s
             np.multiply(g, g, out=s)
-            s *= 1.0 - self.beta2
-            v *= self.beta2
+            s *= 1.0 - ADAM_BETA2
+            v *= ADAM_BETA2
             v += s
             # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in place
             np.divide(m, c1, out=s)
             s *= self.lr
             np.divide(v, c2, out=g)
             np.sqrt(g, out=g)
-            g += self.epsilon
+            g += ADAM_EPSILON
             s /= g
             p -= s
 
@@ -139,10 +126,9 @@ class Adam:
 class SgdMomentum:
     """Classic momentum over a whole flat parameter vector: u <- mu*u + g; p <- p - lr*u."""
 
-    def __init__(self, params: ParamBuffer, config: TrainConfig):
+    def __init__(self, params: ParamBuffer, lr: float):
         self.params = params
-        self.lr = config.lr
-        self.momentum = config.momentum
+        self.lr = lr
         self.velocity = np.zeros_like(params.flat)
 
     def step(self, grad: np.ndarray) -> None:
@@ -150,7 +136,7 @@ class SgdMomentum:
         if grad.shape != self.params.flat.shape:
             raise ValueError(f"gradient shape {grad.shape} does not match {self.params.flat.shape}")
         for p, g, u in _blocks(self.params.flat, grad, self.velocity):
-            u *= self.momentum
+            u *= SGD_MOMENTUM
             u += g
             np.multiply(u, self.lr, out=g)
             p -= g
@@ -181,7 +167,7 @@ def train(
             f"visual feature dim {dataset.visual.dim}"
         )
     model = init_model(net_config, train_config.seed, tags)
-    history = TrainHistory()
+    history = TrainHistory(train_config.lr)
     n = dataset.visual.rows
     if n == 0:
         raise ValueError("empty training set")
@@ -191,12 +177,11 @@ def train(
     semantics = {tag: dataset.table(tag).matrix(classes) for tag in tags}
     slot = np.empty(classes.size, dtype=np.intp)  # each class's row in the current batch
 
-    optimizer = (Adam if train_config.optimizer == "adam" else SgdMomentum)(model.params, train_config)
+    optimizer = (Adam if train_config.optimizer == "adam" else SgdMomentum)(model.params, train_config.lr)
     grads = ParamBuffer(param_shapes(model.config))  # every step overwrites it
     rng = np.random.default_rng(train_config.seed)
     first = None
     for epoch in range(train_config.epochs):
-        optimizer.lr = train_config.lr * train_config.lr_decay**epoch
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, train_config.batch_size):
@@ -215,15 +200,14 @@ def train(
             optimizer.step(grads.flat)
             total += loss * idx.size
         history.losses.append(total / n)
-        history.lrs.append(optimizer.lr)
     return model, history
 
 
 def save_history(history: TrainHistory, path: str | Path) -> None:
     """Write the history as ``epoch,loss,lr`` CSV with full-precision floats."""
     lines = ["epoch,loss,lr"]
-    for epoch, (loss, lr) in enumerate(zip(history.losses, history.lrs)):
-        lines.append(f"{epoch},{repr(float(loss))},{repr(float(lr))}")
+    for epoch, loss in enumerate(history.losses):
+        lines.append(f"{epoch},{repr(float(loss))},{repr(float(history.lr))}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -166,13 +166,16 @@ def test_every_config_field_is_a_key_and_its_default_parses_back(cls, section, g
 
 
 def test_modality_specs_leave_the_parts_not_given_to_modality_spec():
-    entries = {"synth.modalities": "W:12,C:10:0.25,I:11:0.5:0.1"}
-    assert _config_from(SynthConfig, "synth", entries).modalities == (
-        ModalitySpec("W", 12), ModalitySpec("C", 10, 0.25), ModalitySpec("I", 11, 0.5, 0.1)
-    )
+    # spaces around a tag are not part of it, as for --modalities
+    for value in ("W:12,C:10:0.25,I:11:0.5:0.1", "W :12, C: 10:0.25 , I :11:0.5:0.1"):
+        assert _config_from(SynthConfig, "synth", {"synth.modalities": value}).modalities == (
+            ModalitySpec("W", 12), ModalitySpec("C", 10, 0.25), ModalitySpec("I", 11, 0.5, 0.1)
+        ), value
 
 
-@pytest.mark.parametrize("line", ["train.l2_lambda = 0.1", "net.modality_dims = A:3"])
+@pytest.mark.parametrize(
+    "line", ["train.l2_lambda = 0.1", "net.modality_dims = A:3", "train.lr_decay = 0.9", "train.beta1 = 0.9"]
+)
 def test_config_rejects_keys_that_are_not_settable_fields(line, tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text(line + "\n")
@@ -189,7 +192,16 @@ def test_config_given_values_override_the_file(tmp_path):
 
 
 def test_readme_config_example_parses(tmp_path):
+    """Every README code block of ``key = value`` lines alone is a config file
+    that reads back; the one after "Config files are flat" builds each config."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [[line for line in block.splitlines() if line.strip()] for block in readme.split("```")[1::2]]
+    configs = [b for b in blocks if b and all(re.fullmatch(r"[\w.]+ = \S.*", line) for line in b)]
+    assert len(configs) >= 2  # the config example and the Experiments grid.cfg
+    for i, config in enumerate(configs):
+        p = tmp_path / f"block{i}.cfg"
+        p.write_text("\n".join(config) + "\n")
+        read_config_file(str(p))
     example = readme.split("Config files are flat", 1)[1].split("```")[1]
     p = tmp_path / "readme.cfg"
     p.write_text(example)
@@ -365,6 +377,18 @@ def test_ablate_default_metrics_use_config_eta(tmp_path, capsys):
     capsys.readouterr()
     metrics = {line.split(",")[2] for line in grid.read_text().splitlines()[1:]}
     assert metrics == {"ec:0.5", "euclidean"}
+
+
+@pytest.mark.parametrize("direction", ["s2v", "v2s"])
+def test_ablate_default_directions_use_config_direction(direction, tmp_path, capsys):
+    cfg = tmp_path / "direction.cfg"
+    cfg.write_text(PIPELINE_CFG.replace("ablate.directions = s2v\n", f"net.direction = {direction}\n"))
+    data, grid = tmp_path / "data", tmp_path / "grid.csv"
+    assert dispatch(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+    assert dispatch(["ablate", "--config", str(cfg), "--data", str(data), "--out", str(grid)]) == 0
+    capsys.readouterr()
+    rows = grid.read_text().splitlines()[1:]
+    assert [line.split(",")[1] for line in rows] == [direction] * 3
 
 
 @pytest.mark.parametrize("kind, labels", [
