@@ -11,12 +11,14 @@ section prefixes (``net.head_out``, ``train.lr``, ``synth.n_classes``,
 ``metric.eta``, ``ablate.directions``); command-line flags override file
 values. The ``net``, ``train``, ``synth`` and ``metric`` keys are the
 fields of ``NetConfig``, ``TrainConfig``, ``SynthConfig`` and ``MetricKind``
-that have defaults; the ``ablate`` keys set the grid's axes, and an axis
-left unset takes ``evaluation.ablate``'s default, except that a set
-``net.direction`` is the only direction and the metrics are the one the
-``metric`` keys set plus euclidean. Unknown keys are
-rejected. The ``ZSL_EMBED_LOG`` environment variable (error, info, debug)
-controls log verbosity.
+that have defaults (``net.modality_dims`` and ``net.embed_dim`` come from
+the dataset), and ``synth.modalities`` is comma-separated ``TAG:dim``
+items, as ``data.parse_modality_dims`` reads them. The ``ablate`` keys
+set the grid's axes, and an axis left unset takes ``evaluation.ablate``'s
+default, except that a set ``net.direction`` is the only direction and
+the metrics are the one the ``metric`` keys set plus euclidean. Unknown
+keys are rejected. The ``ZSL_EMBED_LOG`` environment variable (error,
+info, debug) controls log verbosity.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, load_dataset, save_dataset
+from .data import load_dataset, parse_modality_dims, save_dataset
 from .evaluation import AblationCell, ablate, emit_report, evaluate
 from .metric import METRIC_KINDS, MetricKind, metric_distance
 from .network import DIRECTIONS, NetConfig, gradient_check
@@ -41,7 +43,12 @@ log = logging.getLogger("zsl_embed")
 
 GRADCHECK_TOLERANCE = 1e-6
 
-_ABLATE_KEYS = {"subsets", "directions", "metrics"}
+_SECTIONS = {"net": NetConfig, "train": TrainConfig, "synth": SynthConfig, "metric": MetricKind}
+# what a config file may set: each section's fields that have a default, and the grid's axes
+_CONFIG_KEYS = {
+    section: {f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+    for section, cls in _SECTIONS.items()
+} | {"ablate": {"subsets", "directions", "metrics"}}
 
 
 def _setup_logging() -> None:
@@ -77,22 +84,10 @@ def read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def _config_keys(cls) -> set[str]:
-    """A config dataclass's fields that a file may set: those with a default."""
-    return {f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
-
-
 def _check_keys(path: str, entries: dict[str, str]) -> None:
-    known = {
-        "net": _config_keys(NetConfig),
-        "train": _config_keys(TrainConfig),
-        "synth": _config_keys(SynthConfig),
-        "metric": _config_keys(MetricKind),
-        "ablate": _ABLATE_KEYS,
-    }
     for key in entries:
         section, _, field = key.partition(".")
-        if section not in known or field not in known[section]:
+        if field not in _CONFIG_KEYS.get(section, ()):
             raise ValueError(f"{path}: unknown config key: {key}")
 
 
@@ -103,26 +98,11 @@ def _parse_value(key: str, value: str, kind):
         raise ValueError(f"config key {key}: invalid value {value!r}") from None
 
 
-def _parse_modality_specs(value: str) -> tuple[ModalitySpec, ...]:
-    """Parse ``TAG:dim[:fraction[:sigma]]`` items separated by commas."""
-    specs = []
-    for item in value.split(","):
-        parts = item.strip().split(":")
-        if len(parts) < 2 or len(parts) > 4:
-            raise ValueError(
-                f"bad modality spec {item!r}, expected TAG:dim[:fraction[:sigma]]"
-            )
-        given = [_parse_value("synth.modalities", v, kind)
-                 for v, kind in zip(parts[1:], (int, float, float))]
-        specs.append(ModalitySpec(parts[0].strip(), *given))  # its defaults fill the parts not given
-    return tuple(specs)
-
-
 def _config_from(cls, section: str, entries: dict[str, str], **given):
     """Build ``cls`` from the ``section.field`` entries, then the given values that are not None.
 
     Each value parses as the type of its field's default; ``synth.modalities``
-    as ``TAG:dim[:fraction[:sigma]]`` items.
+    as comma-separated ``TAG:dim`` items.
     """
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     kw = {}
@@ -131,27 +111,11 @@ def _config_from(cls, section: str, entries: dict[str, str], **given):
         if prefix != section:
             continue
         if key == "synth.modalities":
-            kw[field] = _parse_modality_specs(value)
+            kw[field] = tuple(ModalitySpec(tag, dim) for tag, dim in parse_modality_dims(value).items())
         else:
             kw[field] = _parse_value(key, value, type(defaults[field]))
     kw.update((field, value) for field, value in given.items() if value is not None)
     return cls(**kw)
-
-
-def _net_config(
-    entries: dict[str, str], dataset: Dataset, tags: tuple[str, ...] | None, direction: str | None
-) -> NetConfig:
-    """The net config for ``tags`` of the dataset; ``net.embed_dim`` must match its visual dim."""
-    visual_dim = dataset.visual.dim
-    config = _config_from(
-        NetConfig, "net", {"net.embed_dim": str(visual_dim), **entries},
-        modality_dims=dataset.modality_dims(tags), direction=direction,
-    )
-    if config.embed_dim != visual_dim:
-        raise ValueError(
-            f"net.embed_dim {config.embed_dim} does not match dataset visual dim {visual_dim}"
-        )
-    return config
 
 
 def _parse_metric_label(label: str) -> MetricKind:
@@ -189,8 +153,9 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     entries = read_config_file(args.config) if args.config else {}
     dataset = load_dataset(args.data)
-    tags = _parse_tags(args.modalities) if args.modalities else dataset.modality_tags
-    net_config = _net_config(entries, dataset, tags, args.direction)
+    tags = _parse_tags(args.modalities) if args.modalities is not None else dataset.modality_tags
+    net_config = _config_from(NetConfig, "net", entries, modality_dims=dataset.modality_dims(tags),
+                              embed_dim=dataset.visual.dim, direction=args.direction)
     train_config = _config_from(TrainConfig, "train", entries, seed=args.seed)
     log.info(
         "training %s on %d samples, %d epochs", "+".join(tags),
@@ -211,7 +176,7 @@ def _cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     model = load_checkpoint(args.checkpoint)
     tags = model.config.check_active(
-        _parse_tags(args.modalities) if args.modalities else model.config.tags
+        _parse_tags(args.modalities) if args.modalities is not None else model.config.tags
     )
     metric = _config_from(MetricKind, "metric", entries, kind=args.metric, eta=args.eta)
     result = evaluate(model, dataset, metric, tags)
@@ -228,7 +193,8 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     entries = read_config_file(args.config) if args.config else {}
     dataset = load_dataset(args.data)
-    net_config = _net_config(entries, dataset, None, None)
+    net_config = _config_from(NetConfig, "net", entries, modality_dims=dataset.modality_dims(),
+                              embed_dim=dataset.visual.dim)
     grid = {}
     if "ablate.subsets" in entries:
         grid["subsets"] = [_parse_tags(s.replace("+", ",")) for s in entries["ablate.subsets"].split(";")]

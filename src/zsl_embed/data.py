@@ -37,6 +37,27 @@ SPLIT_FILE = "split.txt"
 SEMANTIC_PREFIX = "semantic_"
 
 
+def check_tag(tag: ModalityTag) -> None:
+    """Reject an empty tag, or one with whitespace or a separator of ``--modalities``,
+    ``TAG:dim``, subset labels, ``ablate.subsets``, config comments or file paths."""
+    if not tag or any(c.isspace() or c in ",:+;#/" for c in tag):
+        raise ValueError(f"bad modality tag {tag!r}: need a non-empty tag without whitespace or , : + ; # /")
+
+
+def parse_modality_dims(text: str) -> dict[ModalityTag, int]:
+    """Parse comma-separated ``TAG:dim`` items; spaces around a tag or dim are not part of it."""
+    dims: dict[ModalityTag, int] = {}
+    for item in text.split(","):
+        tag, _, dim = (part.strip() for part in item.partition(":"))
+        if tag in dims:
+            raise ValueError(f"duplicate modality tag {tag!r} in {text!r}")
+        try:
+            dims[tag] = int(dim)
+        except ValueError:
+            raise ValueError(f"bad modality spec {item!r}, expected TAG:dim") from None
+    return dims
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -97,13 +118,15 @@ class SemanticTable:
 
     ``vectors`` holds one row per class, labelled with its class id. Each
     id appears once, and the rows are kept in ascending id order whatever
-    order they arrive in. ``FeatureMatrix`` checks the values and ids.
+    order they arrive in. ``FeatureMatrix`` checks the values and ids, and
+    ``check_tag`` the modality tag.
     """
 
     modality: ModalityTag
     vectors: FeatureMatrix
 
     def __post_init__(self) -> None:
+        check_tag(self.modality)
         ids = self.vectors.labels
         if ids.size == 0:
             raise ValueError(f"semantic table for modality {self.modality} is empty")

@@ -42,6 +42,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .data import check_tag
 from .metric import _dot
 
 S_TO_V = "s2v"
@@ -62,15 +63,16 @@ def _blocks(*vectors: np.ndarray):
 class NetConfig:
     """Architecture and loss settings for the embedding model.
 
-    ``modality_dims`` maps modality tag to its input dimension. The three
-    layer widths default to 512/1024/2048; ``embed_dim`` must match the
-    visual feature dimension of the data the model is trained on.
+    ``modality_dims`` maps modality tag to its input dimension, and
+    ``embed_dim`` is the visual feature dimension of the data the model
+    is trained on; both come from the data. The head widths default to
+    512/1024.
     """
 
     modality_dims: dict[str, int]
+    embed_dim: int
     head_hidden: int = 512
     head_out: int = 1024
-    embed_dim: int = 2048
     direction: str = S_TO_V
     l2_lambda: float = 5e-4
 
@@ -80,6 +82,7 @@ class NetConfig:
         if not dims:
             raise ValueError("at least one modality is required")
         for tag, dim in dims.items():
+            check_tag(tag)
             if dim < 1:
                 raise ValueError(f"modality {tag}: input dim must be positive, got {dim}")
         for name in ("head_hidden", "head_out", "embed_dim"):

@@ -7,11 +7,12 @@ post-ReLU activations. Sparsity matters: a dense non-negative lift
 concentrates most of the between-class variance along the all-ones
 direction, which makes unseen-class geometry nearly unrecoverable from
 a small seen-class set; zeroing three quarters of the lift keeps the
-anchors' full geometry in play. Each modality observes only a fraction of the latent
-coordinates (subsets balanced so together they cover everything) through
-its own random projection, plus noise. Single modalities are therefore
-lossy while their fusion is not — the property the ablation experiments
-measure.
+anchors' full geometry in play. Each modality observes
+``INFORMATION_FRACTION`` of the latent coordinates (subsets balanced so
+together they cover everything) through its own random projection, plus
+Gaussian noise of scale ``SEMANTIC_NOISE``; the visual noise has scale
+``VISUAL_NOISE``. Single modalities are therefore lossy while their
+fusion is not — the property the ablation experiments measure.
 """
 
 from __future__ import annotations
@@ -21,31 +22,25 @@ import math
 
 import numpy as np
 
-from .data import Dataset, FeatureMatrix, SemanticTable
+from .data import Dataset, FeatureMatrix, SemanticTable, check_tag
 
 LIFT_DENSITY = 0.25
+INFORMATION_FRACTION = 0.5
+SEMANTIC_NOISE = 0.05
+VISUAL_NOISE = 0.05
 
 
 @dataclasses.dataclass(frozen=True)
 class ModalitySpec:
-    """One modality: output dim, observed fraction of the latent space, noise."""
+    """One modality: its tag and the dim of its semantic vectors."""
 
     tag: str
     dim: int
-    information_fraction: float = 0.5
-    noise_sigma: float = 0.05
 
     def __post_init__(self) -> None:
-        if not self.tag:
-            raise ValueError("modality tag must be non-empty")
+        check_tag(self.tag)
         if self.dim < 1:
             raise ValueError(f"modality {self.tag}: dim must be positive")
-        if not 0 < self.information_fraction <= 1:
-            raise ValueError(
-                f"modality {self.tag}: information_fraction must be in (0, 1]"
-            )
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"modality {self.tag}: noise_sigma must be finite and >= 0")
 
 
 DEFAULT_MODALITIES = (
@@ -64,7 +59,6 @@ class SynthConfig:
     latent_dim: int = 16
     embed_dim: int = 64
     modalities: tuple[ModalitySpec, ...] = DEFAULT_MODALITIES
-    visual_noise_sigma: float = 0.05
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -82,8 +76,6 @@ class SynthConfig:
         tags = [m.tag for m in self.modalities]
         if len(set(tags)) != len(tags):
             raise ValueError(f"duplicate modality tags: {sorted(tags)}")
-        if not (math.isfinite(self.visual_noise_sigma) and self.visual_noise_sigma >= 0):
-            raise ValueError("visual_noise_sigma must be finite and >= 0")
         if self.seed < 0:
             raise ValueError(f"synth seed must be >= 0, got {self.seed}")
 
@@ -98,10 +90,10 @@ def _coordinate_subsets(
     while enough unseen coordinates remain, and coverage stays within one
     of uniform otherwise.
     """
+    n_keep = math.ceil(INFORMATION_FRACTION * latent_dim)
     coverage = np.zeros(latent_dim, dtype=np.int64)
     subsets: dict[str, np.ndarray] = {}
     for spec in sorted(specs, key=lambda s: s.tag):
-        n_keep = min(latent_dim, max(1, math.ceil(spec.information_fraction * latent_dim)))
         tiebreak = rng.permutation(latent_dim)
         order = np.lexsort((tiebreak, coverage))
         picked = np.sort(order[:n_keep])
@@ -129,7 +121,7 @@ def generate(config: SynthConfig) -> Dataset:
         observed = anchors[:, subsets[spec.tag]]
         projection = rng.normal(0.0, 1.0 / math.sqrt(observed.shape[1]), size=(spec.dim, observed.shape[1]))
         vectors = observed @ projection.T
-        vectors = vectors + spec.noise_sigma * rng.normal(0.0, 1.0, size=vectors.shape)
+        vectors = vectors + SEMANTIC_NOISE * rng.normal(0.0, 1.0, size=vectors.shape)
         tables.append(SemanticTable(spec.tag, FeatureMatrix(vectors, np.arange(n))))
 
     def sample_block(class_ids: list[int]) -> FeatureMatrix:
@@ -137,7 +129,7 @@ def generate(config: SynthConfig) -> Dataset:
         for cls in class_ids:
             clean = lift @ anchors[cls]
             noise = rng.normal(0.0, 1.0, size=(config.samples_per_class, config.embed_dim))
-            block = clean + config.visual_noise_sigma * noise
+            block = clean + VISUAL_NOISE * noise
             rows.append(np.maximum(block, 0.0))
             labels.extend([cls] * config.samples_per_class)
         return FeatureMatrix(np.vstack(rows), np.asarray(labels, dtype=np.int64))

@@ -35,7 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, parse_modality_dims
 from .network import EmbeddingModel, NetConfig, ParamBuffer, _BLOCK, _blocks, init_model, param_shapes
 
 CHECKPOINT_MAGIC = b"ZSLC"
@@ -226,19 +226,17 @@ def _encode_config(config: NetConfig) -> bytes:
 def _decode_config(blob: bytes) -> NetConfig:
     """Inverse of ``_encode_config``: one line per NetConfig field and no other.
 
-    Each value but ``modality_dims`` parses as the type of its field's default.
+    ``modality_dims`` parses as ``TAG:dim`` items, ``embed_dim`` as an int
+    and every other value as the type of its field's default.
     """
     try:
         pairs = [line.split(" = ", 1) for line in blob.decode("utf-8").splitlines()]
         values = dict(pairs)
         kinds = {f.name: type(f.default) for f in dataclasses.fields(NetConfig)}
+        kinds.update(modality_dims=parse_modality_dims, embed_dim=int)
         if len(values) != len(pairs) or values.keys() != kinds.keys():
             raise ValueError(f"keys {sorted(key for key, _ in pairs)}, expected {sorted(kinds)}")
-        dims = (item.split(":") for item in values.pop("modality_dims").split(","))
-        return NetConfig(
-            modality_dims={tag: int(dim) for tag, dim in dims},
-            **{key: kinds[key](value) for key, value in values.items()},
-        )
+        return NetConfig(**{key: kinds[key](value) for key, value in values.items()})
     except ValueError as exc:
         raise ValueError(f"corrupted payload (config block: {exc})") from None
 

@@ -12,7 +12,7 @@ import pytest
 
 import zsl_embed
 from zsl_embed import evaluation
-from zsl_embed.cli import _config_from, build_parser, dispatch, read_config_file
+from zsl_embed.cli import _CONFIG_KEYS, _config_from, build_parser, dispatch, read_config_file
 from zsl_embed.evaluation import REPORT_HEADER, AblationCell, EvalResult, cell_seed
 from zsl_embed.metric import MetricKind
 from zsl_embed.network import NetConfig, V_TO_S
@@ -145,16 +145,16 @@ def test_config_comments_and_blanks(tmp_path):
 
 
 def config_text(value) -> str:
-    """A config value as a file writes it; ``synth.modalities`` in full ``TAG:dim:fraction:sigma`` form."""
+    """A config value as a file writes it; ``synth.modalities`` as ``TAG:dim`` items."""
     if isinstance(value, tuple):
-        return ",".join(f"{m.tag}:{m.dim}:{m.information_fraction!r}:{m.noise_sigma!r}" for m in value)
+        return ",".join(f"{m.tag}:{m.dim}" for m in value)
     return str(value)
 
 
 @pytest.mark.parametrize(
     "cls, section, given",
-    [(NetConfig, "net", {"modality_dims": {"A": 5}}), (TrainConfig, "train", {}), (SynthConfig, "synth", {}),
-     (MetricKind, "metric", {})],
+    [(NetConfig, "net", {"modality_dims": {"A": 5}, "embed_dim": 7}), (TrainConfig, "train", {}),
+     (SynthConfig, "synth", {}), (MetricKind, "metric", {})],
 )
 def test_every_config_field_is_a_key_and_its_default_parses_back(cls, section, given, tmp_path):
     fields = [f for f in dataclasses.fields(cls) if f.name not in given]
@@ -165,22 +165,53 @@ def test_every_config_field_is_a_key_and_its_default_parses_back(cls, section, g
     assert _config_from(cls, section, entries, **given) == cls(**given)
 
 
-def test_modality_specs_leave_the_parts_not_given_to_modality_spec():
+def test_modality_specs_are_tag_dim_items(tmp_path, capsys):
     # spaces around a tag are not part of it, as for --modalities
-    for value in ("W:12,C:10:0.25,I:11:0.5:0.1", "W :12, C: 10:0.25 , I :11:0.5:0.1"):
+    for value in ("W:12,C:10,I:11", "W :12, C: 10 , I :11"):
         assert _config_from(SynthConfig, "synth", {"synth.modalities": value}).modalities == (
-            ModalitySpec("W", 12), ModalitySpec("C", 10, 0.25), ModalitySpec("I", 11, 0.5, 0.1)
+            ModalitySpec("W", 12), ModalitySpec("C", 10), ModalitySpec("I", 11)
         ), value
+    p = tmp_path / "bad.cfg"
+    for value, message in [
+        ("W:12:0.5", "bad modality spec 'W:12:0.5', expected TAG:dim"),
+        ("W", "bad modality spec 'W', expected TAG:dim"),
+        ("W:12,", "bad modality spec '', expected TAG:dim"),
+        ("W:3,C:4,W:5", "duplicate modality tag 'W'"),
+        ("W+X:3", "bad modality tag 'W+X'"),
+        ("W X:3", "bad modality tag 'W X'"),
+    ]:
+        p.write_text(f"synth.modalities = {value}\n")
+        assert dispatch(["synth", "--config", str(p), "--out", str(tmp_path / "d")]) == 1, value
+        assert message in capsys.readouterr().err, value
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize(
-    "line", ["train.l2_lambda = 0.1", "net.modality_dims = A:3", "train.lr_decay = 0.9", "train.beta1 = 0.9"]
+    "line",
+    ["train.l2_lambda = 0.1", "net.modality_dims = A:3", "train.lr_decay = 0.9", "train.beta1 = 0.9",
+     "synth.visual_noise_sigma = 0.05", "net.embed_dim = 99"],
 )
 def test_config_rejects_keys_that_are_not_settable_fields(line, tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text(line + "\n")
     with pytest.raises(ValueError, match=f"unknown config key: {line.split(' ')[0]}"):
         read_config_file(str(p))
+
+
+def test_config_accepts_exactly_these_keys(tmp_path):
+    # adding or removing a setting changes this list
+    assert _CONFIG_KEYS == {
+        "net": {"head_hidden", "head_out", "direction", "l2_lambda"},
+        "train": {"optimizer", "lr", "batch_size", "epochs", "seed"},
+        "synth": {"n_classes", "n_seen", "samples_per_class", "latent_dim", "embed_dim", "modalities", "seed"},
+        "metric": {"kind", "eta"},
+        "ablate": {"subsets", "directions", "metrics"},
+    }
+    keys = [f"{section}.{field}" for section, fields in _CONFIG_KEYS.items() for field in sorted(fields)]
+    assert len(keys) == 21
+    p = tmp_path / "all.cfg"
+    p.write_text("".join(f"{key} = 1\n" for key in keys))
+    assert list(read_config_file(str(p))) == keys
 
 
 def test_config_given_values_override_the_file(tmp_path):
@@ -208,7 +239,8 @@ def test_readme_config_example_parses(tmp_path):
     entries = read_config_file(str(p))
     assert {key.partition(".")[0] for key in entries} >= {"synth", "net", "train"}
     synth = _config_from(SynthConfig, "synth", entries)
-    net = _config_from(NetConfig, "net", entries, modality_dims={m.tag: m.dim for m in synth.modalities})
+    net = _config_from(NetConfig, "net", entries, modality_dims={m.tag: m.dim for m in synth.modalities},
+                       embed_dim=synth.embed_dim)
     train = _config_from(TrainConfig, "train", entries)
     assert (synth.n_classes, net.head_out, train.epochs) == (24, 48, 200)
 
@@ -235,18 +267,6 @@ def test_readme_cli_examples_parse():
             parser.parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
-
-
-def test_net_embed_dim_mismatch(cfg_path, tmp_path, capsys):
-    data = tmp_path / "data"
-    assert dispatch(["synth", "--config", str(cfg_path), "--out", str(data)]) == 0
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(PIPELINE_CFG + "net.embed_dim = 99\n")
-    rc = dispatch(["train", "--config", str(bad), "--data", str(data),
-                   "--out", str(tmp_path / "m.ckpt")])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "does not match" in captured.err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -366,6 +386,15 @@ def test_eval_modality_subset_flag(cfg_path, tmp_path, capsys):
     assert dispatch(["eval", "--checkpoint", str(ckpt), "--data", str(data),
                      "--modalities", "A"]) == 0
     assert "top1 " in capsys.readouterr().out
+    # an empty list names no modality; it does not mean all of them
+    for value in ("", " , "):
+        assert dispatch(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                         "--modalities", value]) == 1
+        assert capsys.readouterr().err == f"error: no modality tags in {value!r}\n"
+        assert dispatch(["train", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "n.ckpt"),
+                         "--modalities", value]) == 1
+        assert capsys.readouterr().err == f"error: no modality tags in {value!r}\n"
+    assert not (tmp_path / "n.ckpt").exists()
 
 
 def test_ablate_default_metrics_use_config_eta(tmp_path, capsys):

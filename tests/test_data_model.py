@@ -369,6 +369,17 @@ def test_load_dataset_rejects_duplicate_semantic_classes(tmp_path):
         load_dataset(tmp_path / "ds")
 
 
+def test_load_dataset_rejects_a_tag_that_does_not_read_back(tmp_path):
+    # "A,X" would be two tags to --modalities and two fields to a csv report row
+    save_dataset(toy_dataset(), tmp_path / "ds")
+    (tmp_path / "ds" / "semantic_A.zslf").rename(tmp_path / "ds" / "semantic_A,X.zslf")
+    with pytest.raises(ValueError, match=r"semantic_A,X\.zslf: bad modality tag 'A,X'"):
+        load_dataset(tmp_path / "ds")
+    for tag in ("", "A:X", "A+X", "A;X", "A#X", "A/X", "A X", "A\n"):
+        with pytest.raises(ValueError, match="bad modality tag"):
+            SemanticTable(tag, small_matrix())
+
+
 def test_split_round_trip(tmp_path):
     p = tmp_path / "split.txt"
     save_split({0, 5, 2}, {7, 3}, p)

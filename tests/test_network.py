@@ -64,16 +64,22 @@ def jitter(model, rng, scale=0.3):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        NetConfig(modality_dims={})
+        NetConfig(modality_dims={}, embed_dim=4)
     with pytest.raises(ValueError):
-        NetConfig(modality_dims={"A": 0})
+        NetConfig(modality_dims={"A": 0}, embed_dim=4)
+    with pytest.raises(ValueError, match="embed_dim must be positive"):
+        NetConfig(modality_dims={"A": 3}, embed_dim=0)
     with pytest.raises(ValueError):
-        NetConfig(modality_dims={"A": 3}, direction="sideways")
+        NetConfig(modality_dims={"A": 3}, embed_dim=4, direction="sideways")
     with pytest.raises(ValueError):
-        NetConfig(modality_dims={"A": 3}, l2_lambda=-1.0)
+        NetConfig(modality_dims={"A": 3}, embed_dim=4, l2_lambda=-1.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="l2_lambda must be finite"):
-            NetConfig(modality_dims={"A": 3}, l2_lambda=bad)
+            NetConfig(modality_dims={"A": 3}, embed_dim=4, l2_lambda=bad)
+    # "A,B:3" would read back from a checkpoint's modality_dims line as two items
+    for tag in ("A,B", "A:B", "A+B", "", "A B"):
+        with pytest.raises(ValueError, match="bad modality tag"):
+            NetConfig({tag: 3}, head_hidden=4, head_out=3, embed_dim=5)
 
 
 def test_init_deterministic_and_seed_sensitive():

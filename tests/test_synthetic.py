@@ -1,8 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
+from zsl_embed import synthetic
 from zsl_embed.synthetic import (
     DEFAULT_MODALITIES,
     ModalitySpec,
@@ -13,19 +12,12 @@ from zsl_embed.synthetic import (
 
 
 def test_modality_spec_validation():
-    with pytest.raises(ValueError):
-        ModalitySpec("", 4)
-    with pytest.raises(ValueError):
+    for tag in ("", "W,X", "W:X", "W+X", "W;X", "W#X", "W/X", "W X", " W", "W\t"):
+        with pytest.raises(ValueError, match="bad modality tag"):
+            ModalitySpec(tag, 4)
+    with pytest.raises(ValueError, match="modality A: dim must be positive"):
         ModalitySpec("A", 0)
-    with pytest.raises(ValueError):
-        ModalitySpec("A", 4, information_fraction=0.0)
-    with pytest.raises(ValueError):
-        ModalitySpec("A", 4, information_fraction=1.1)
-    with pytest.raises(ValueError):
-        ModalitySpec("A", 4, noise_sigma=-0.1)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="modality A: noise_sigma must be finite"):
-            ModalitySpec("A", 4, noise_sigma=bad)
+    assert ModalitySpec("W-2.x_y", 4).tag == "W-2.x_y"
 
 
 def test_synth_config_validation():
@@ -39,11 +31,10 @@ def test_synth_config_validation():
         SynthConfig(modalities=())
     with pytest.raises(ValueError, match="duplicate"):
         SynthConfig(modalities=(ModalitySpec("W", 3), ModalitySpec("W", 4)))
-    with pytest.raises(ValueError):
-        SynthConfig(visual_noise_sigma=-1.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="visual_noise_sigma must be finite"):
-            SynthConfig(visual_noise_sigma=bad)
+    with pytest.raises(ValueError, match="latent_dim and embed_dim must be positive"):
+        SynthConfig(latent_dim=0)
+    with pytest.raises(ValueError, match="synth seed must be >= 0"):
+        SynthConfig(seed=-1)
 
 
 def test_generate_is_deterministic():
@@ -79,15 +70,15 @@ def test_default_shapes_and_split():
 
 
 def test_visual_features_non_negative():
-    ds = generate(SynthConfig(seed=7, visual_noise_sigma=0.5))
+    ds = generate(SynthConfig(seed=7))
     assert (ds.visual.values >= 0).all()
     assert (ds.test_visual.values >= 0).all()
 
 
-def test_noiseless_visual_repeats_class_anchor_image():
-    spec = (ModalitySpec("A", 8, noise_sigma=0.0),)
+def test_noiseless_visual_repeats_class_anchor_image(monkeypatch):
+    monkeypatch.setattr(synthetic, "VISUAL_NOISE", 0.0)
     cfg = SynthConfig(n_classes=4, n_seen=2, samples_per_class=3, latent_dim=6,
-                      embed_dim=12, modalities=spec, visual_noise_sigma=0.0, seed=3)
+                      embed_dim=12, modalities=(ModalitySpec("A", 8),), seed=3)
     ds = generate(cfg)
     for m in (ds.visual, ds.test_visual):
         for cls in m.class_ids():
@@ -95,12 +86,13 @@ def test_noiseless_visual_repeats_class_anchor_image():
             assert np.ptp(rows, axis=0).max() == 0.0
 
 
-def test_noiseless_full_information_semantics_have_full_rank():
+def test_noiseless_full_information_semantics_have_full_rank(monkeypatch):
     # with fraction 1.0 and no noise the table is an injective linear image
     # of the class anchors, so the centered table has latent_dim rank
-    spec = (ModalitySpec("A", 20, information_fraction=1.0, noise_sigma=0.0),)
+    monkeypatch.setattr(synthetic, "INFORMATION_FRACTION", 1.0)
+    monkeypatch.setattr(synthetic, "SEMANTIC_NOISE", 0.0)
     cfg = SynthConfig(n_classes=12, n_seen=8, samples_per_class=2, latent_dim=5,
-                      embed_dim=16, modalities=spec, seed=11)
+                      embed_dim=16, modalities=(ModalitySpec("A", 20),), seed=11)
     ds = generate(cfg)
     table = ds.table("A").matrix(range(12))
     assert np.linalg.matrix_rank(table - table.mean(axis=0)) == 5
@@ -120,10 +112,10 @@ def test_coordinate_subsets_cover_and_balance():
 
 
 def test_coordinate_subsets_small_fraction_still_nonempty():
+    # half of one latent coordinate rounds up to all of it, for every modality
     rng = np.random.default_rng(1)
-    spec = (ModalitySpec("A", 3, information_fraction=0.01),)
-    subsets = _coordinate_subsets(spec, 10, rng)
-    assert len(subsets["A"]) == 1
+    subsets = _coordinate_subsets(DEFAULT_MODALITIES, 1, rng)
+    assert {tag: picked.tolist() for tag, picked in subsets.items()} == {"C": [0], "I": [0], "T": [0], "W": [0]}
 
 
 def test_modalities_observe_different_coordinates():

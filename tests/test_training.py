@@ -545,6 +545,12 @@ SIZE_MESSAGE = r"corrupted payload \(\d+ parameter bytes, the config needs \d+\)
                      r"config block: keys \[.*'shuffle'", id="extra-config-key"),
         pytest.param(lambda b: with_config(b, b"\nl2_lambda = 0.0005", b""),
                      r"config block: keys \[.*'head_out', 'modality_dims'\]", id="missing-config-key"),
+        pytest.param(lambda b: with_config(b, b"embed_dim = 4", b"embed_dim = four"),
+                     r"config block: invalid literal for int\(\) with base 10: 'four'", id="non-integer-embed-dim"),
+        pytest.param(lambda b: with_config(b, b"modality_dims = A:3", b"modality_dims = A,X:3"),
+                     r"config block: bad modality spec 'A', expected TAG:dim", id="bad-modality-dims"),
+        pytest.param(lambda b: with_config(b, b"modality_dims = A:3", b"modality_dims = A+X:3"),
+                     r"config block: bad modality tag 'A\+X'", id="bad-modality-tag"),
     ],
 )
 def test_checkpoint_with_valid_crc_but_wrong_layout(tmp_path, edit, message):
