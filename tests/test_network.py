@@ -1,5 +1,7 @@
+import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import zlib
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from zsl_embed import network as network_module
+from zsl_embed.metric import _dot
 from zsl_embed.network import (
     NetConfig,
     ParamBuffer,
@@ -376,6 +379,133 @@ def test_training_a_proper_subset_of_the_heads_raises(direction):
             call(inputs, targets, ("B",))
     # every head, in any order, trains
     assert model.loss(inputs, targets, ("B", "A")) == model.loss_and_grad(inputs, targets, ("A", "B"))[0]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        ({"active": ("A",)}, "active must name exactly the model's heads ['A', 'B']"),
+        ({"inputs": {"A": np.ones((2, 4)), "B": np.ones((2, 2))}}, "modality A: expected dim 3, got 4"),
+        ({"inputs": {"A": np.ones((2, 3)), "B": np.ones((1, 2))}}, "modality B: 1 rows for 2 targets"),
+        ({"rows": np.array([True, False])}, "rows[0] = True is not an integer class-row index (dtype bool)"),
+        ({"rows": np.array([0, 2])}, "rows[1] = 2 is outside [0, 2), the inputs' class rows"),
+        ({"targets": np.ones((0, 5))}, "empty batch"),
+    ],
+    ids=["inactive tags", "modality dim", "row count", "bool rows", "rows out of range", "empty batch"],
+)
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+def test_loss_and_grad_input_errors_keep_their_messages(direction, call, message):
+    model = init_model(toy_config(direction), seed=0)
+    args = {"inputs": {"A": np.ones((2, 3)), "B": np.ones((2, 2))}, "targets": np.ones((2, 5)),
+            "active": ("A", "B"), "rows": None} | call
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        model.loss_and_grad(args["inputs"], args["targets"], args["active"], rows=args["rows"])
+
+
+def layer_names(prefix, first, n):
+    return [(f"{prefix}.W{k}", f"{prefix}.b{k}") for k in range(first, first + n)]
+
+
+def dense_relu(p, x, names):
+    """Every layer's output of a dense-ReLU stack, after its input ``x``."""
+    acts = [x]
+    for w, b in names:
+        x = x @ p[w].T
+        x += p[b]
+        np.maximum(x, 0.0, out=x)
+        acts.append(x)
+    return acts
+
+
+def per_head_fuse(p, inputs, tags):
+    """Each head run as its own stack, and their outputs summed in sorted tag order."""
+    heads = {t: dense_relu(p, inputs[t], layer_names(f"head.{t}", 1, 2)) for t in sorted(tags)}
+    fused = None
+    for acts in heads.values():
+        fused = acts[-1] if fused is None else fused + acts[-1]
+    return heads, fused
+
+
+def per_head_oracle(model, inputs, targets, rows):
+    """``loss_and_grad``'s loss and gradients, with every head its own stack of
+    two dense-ReLU layers, the heads summed in sorted tag order, and the
+    backward pass run one head at a time, each op as the model orders it."""
+    p, cfg = model.params, model.config
+    lam, m = cfg.l2_lambda, targets.shape[0]
+    grads = {name: np.empty_like(a) for name, a in p.items()}
+
+    def backward(acts, d_out, names):
+        for k in reversed(range(len(names))):
+            w, b = names[k]
+            dz = d_out * (acts[k + 1] > 0)
+            np.matmul(dz.T, acts[k], out=grads[w])
+            np.add.reduce(dz, axis=0, out=grads[b])
+            d_out = dz @ p[w]
+        return d_out
+
+    def per_class(d, scale):
+        if rows is None:
+            return scale * d
+        onehot = np.zeros((fused.shape[0], rows.size))
+        onehot[rows, np.arange(rows.size)] = scale
+        return onehot @ d
+
+    heads, fused = per_head_fuse(p, inputs, cfg.tags)
+    if cfg.direction == S_TO_V:
+        names = layer_names("out", 3, 1)
+        top = dense_relu(p, fused, names)
+        residual = (top[-1] if rows is None else top[-1][rows]) - targets
+    else:
+        names = layer_names("vmap", 1, 3)
+        top = dense_relu(p, targets, names)
+        residual = top[-1] - (fused if rows is None else fused[rows])
+    w = p.flat[model.weights]
+    loss = float(np.add.reduce(residual * residual, axis=None)) / m + lam * float(_dot(w, w))
+    if cfg.direction == S_TO_V:
+        d_fused = backward(top, per_class(residual, 2.0 / m), names)
+    else:
+        backward(top, (2.0 / m) * residual, names)
+        d_fused = per_class(residual, -2.0 / m)
+    for t, acts in heads.items():
+        backward(acts, d_fused, layer_names(f"head.{t}", 1, 2))
+    for name, g in grads.items():
+        if name.rsplit(".", 1)[1].startswith("W"):
+            g += (2.0 * lam) * p[name]
+    return loss, grads
+
+
+def per_head_embed(model, inputs, tags):
+    """``embed`` with every head its own stack, summed in sorted tag order."""
+    _, fused = per_head_fuse(model.params, inputs, tags)
+    if model.config.direction == V_TO_S:
+        return fused
+    return dense_relu(model.params, fused, layer_names("out", 3, 1))[-1]
+
+
+@pytest.mark.parametrize("class_rows", [False, True], ids=["rows=None", "repeated rows"])
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+@pytest.mark.parametrize("n_heads", [1, 2, 3, 4])
+def test_head_bank_matches_per_head_heads_bitwise(n_heads, direction, class_rows):
+    rng = np.random.default_rng(zlib.crc32(f"{n_heads}|{direction}|{class_rows}".encode()))
+    dims = {"C": 7, "I": 5, "T": 9, "W": 3}
+    config = NetConfig(dims, embed_dim=6, head_hidden=8, head_out=5, direction=direction, l2_lambda=1e-3)
+    for held in itertools.combinations(sorted(dims), n_heads):
+        model = init_model(config, seed=3, tags=held)
+        jitter(model, rng)
+        m, k = 11, (4 if class_rows else 11)
+        rows = np.array([1, 0, 3, 1, 1, 2, 0, 3, 3, 1, 2]) if class_rows else None
+        inputs = {t: rng.normal(size=(k, dims[t])) for t in held}
+        targets = rng.uniform(0, 1, size=(m, 6))
+        loss, grads = model.loss_and_grad(inputs, targets, held, rows=rows)
+        want, expected = per_head_oracle(model, inputs, targets, rows)
+        assert loss.hex() == want.hex(), held
+        assert list(grads) == list(expected)
+        for name, g in expected.items():
+            assert grads[name].tobytes() == g.tobytes(), (held, name)
+        for size in range(1, n_heads + 1):
+            for subset in itertools.combinations(held, size):
+                got = model.embed(inputs, subset[::-1])
+                assert got.tobytes() == per_head_embed(model, inputs, subset).tobytes(), (held, subset)
 
 
 # ---------------------------------------------------------------------------

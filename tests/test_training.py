@@ -167,20 +167,21 @@ def test_step_shape_mismatch():
 
 def reference_adam(params, grad_steps, lr):
     """Per-array Adam loop (betas 0.9 and 0.999, epsilon 1e-8), one array at a
-    time, on copies of ``params``."""
+    time, on copies of ``params``, with the moments kept scaled by 1/(1 - beta):
+    m <- 0.9*m + g, v <- 0.999*v + g*g and p <- p - (m*a) / (sqrt(v*b) + eps)."""
     params = {k: v.copy() for k, v in params.items()}
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
     for t, grads in enumerate(grad_steps, 1):
-        c1 = 1.0 - 0.9**t
-        c2 = 1.0 - 0.999**t
+        a = lr * (1.0 - 0.9) / (1.0 - 0.9**t)
+        b = (1.0 - 0.999) / (1.0 - 0.999**t)
         for name, p in params.items():
             g = grads[name]
             m[name] *= 0.9
-            m[name] += (1.0 - 0.9) * g
+            m[name] += g
             v[name] *= 0.999
-            v[name] += (1.0 - 0.999) * (g * g)
-            p -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + 1e-8)
+            v[name] += g * g
+            p -= (m[name] * a) / (np.sqrt(v[name] * b) + 1e-8)
     return params
 
 
@@ -222,6 +223,36 @@ def test_flat_optimizer_matches_per_array_loop_bitwise(opt_cls, reference, cfg):
     for name in shapes:
         assert params[name].tobytes() == want[name].tobytes(), name
     assert params["d"].tobytes() == start["d"].tobytes()
+
+
+def test_adam_stays_within_1e_10_of_textbook_adam_over_2000_steps():
+    """Kingma and Ba's update as written (moments (1 - beta)-weighted, bias
+    corrections divided out), one array at a time, against the flat optimizer
+    over more than one block. The error is measured against how far the
+    parameters moved, so it is the error of the updates themselves."""
+    rng = np.random.default_rng(14)
+    shapes = {"a": (181, 191), "b": (4_000,), "c": (3,)}
+    assert sum(math.prod(s) for s in shapes.values()) > network._BLOCK
+    start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    params = buffer(**start)
+    opt = Adam(params, 1e-3)
+    want = {k: p.copy() for k, p in start.items()}
+    m = {k: np.zeros_like(p) for k, p in start.items()}
+    v = {k: np.zeros_like(p) for k, p in start.items()}
+    for t in range(1, 2001):
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        for name, p in want.items():
+            g = grads[name]
+            m[name] = 0.9 * m[name] + (1 - 0.9) * g
+            v[name] = 0.999 * v[name] + (1 - 0.999) * g * g
+            mhat = m[name] / (1 - 0.9**t)
+            vhat = v[name] / (1 - 0.999**t)
+            p -= 1e-3 * mhat / (np.sqrt(vhat) + 1e-8)
+        opt.step(buffer(**grads).flat)
+    for name in shapes:
+        moved = np.max(np.abs(want[name] - start[name]))
+        assert moved > 1e-3, name
+        assert np.max(np.abs(params[name] - want[name])) <= 1e-10 * moved, name
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +358,13 @@ def test_train_runs_the_heads_once_per_class_of_a_batch(monkeypatch, direction):
     net = NetConfig(ds.modality_dims(), head_hidden=4, head_out=3, embed_dim=ds.visual.dim,
                     direction=direction)
     seen = []
-    forward = network.ReluStack.forward
+    forward = network.HeadBank.forward
 
-    def recording(stack, x):
-        seen.append((stack.names[0][0], x.shape[0]))
-        return forward(stack, x)
+    def recording(bank, ys, heads):
+        seen.extend((net.tags[head], y.shape[0]) for head, y in zip(heads, ys))
+        return forward(bank, ys, heads)
 
-    monkeypatch.setattr(network.ReluStack, "forward", recording)
+    monkeypatch.setattr(network.HeadBank, "forward", recording)
     train(ds, net, cfg, net.tags)
     order_rng = np.random.default_rng(cfg.seed)
     distinct = []
@@ -343,9 +374,27 @@ def test_train_runs_the_heads_once_per_class_of_a_batch(monkeypatch, direction):
             distinct.append(np.unique(ds.visual.labels[order[start : start + cfg.batch_size]]).size)
     assert max(distinct) < cfg.batch_size  # so a per-sample forward would show
     for tag in net.tags:
-        rows = [n for name, n in seen if name == f"head.{tag}.W1"]
+        rows = [n for t, n in seen if t == tag]
         assert len(rows) == len(distinct)
         assert all(n <= d for n, d in zip(rows, distinct)), (tag, rows, distinct)
+
+
+@pytest.mark.parametrize("batch_size", [3, 4, 8])
+def test_train_calls_loss_and_grad_once_per_batch(monkeypatch, batch_size):
+    # the benchmark's traced training times each step through this one method
+    ds = tiny_dataset()
+    cfg = TrainConfig(lr=1e-3, batch_size=batch_size, epochs=3, seed=2)
+    calls = []
+    loss_and_grad = network.EmbeddingModel.loss_and_grad
+
+    def counting(model, inputs, targets, *args, **kwargs):
+        calls.append(len(targets))
+        return loss_and_grad(model, inputs, targets, *args, **kwargs)
+
+    monkeypatch.setattr(network.EmbeddingModel, "loss_and_grad", counting)
+    train(ds, tiny_net(), cfg, ("A", "B"))
+    batches = [min(batch_size, ds.visual.rows - start) for start in range(0, ds.visual.rows, batch_size)]
+    assert calls == batches * cfg.epochs
 
 
 def test_history_lengths_match_epochs():
