@@ -22,18 +22,17 @@ and, for s2v, the shared layer run once per class, and each sample's
 residual gradient is summed per class before it enters them. Without
 ``rows`` each input row belongs to one sample.
 
-Every branch is a stack of dense-ReLU layers with one hand-derived
-backward pass (no autodiff); the ReLU subgradient at exactly 0 is taken
-as 0. The heads run together as one ``HeadBank``, whose elementwise work
-covers all heads at once; the shared layer and the visual map are each a
-``ReluStack``. All parameters of a model are views into one contiguous
+Every branch (each head, the shared layer, the visual map) is a
+``ReluStack``, the one dense-ReLU primitive: a stack of dense-ReLU
+layers with one hand-derived backward pass (no autodiff); the ReLU
+subgradient at exactly 0 is taken as 0. The heads are summed in sorted
+tag order. All parameters of a model are views into one contiguous
 float64 vector (a ``ParamBuffer``): every weight matrix first, stack by
 stack, then every bias, so the L2 penalty is one dot product over the
 weights, summed in chunks (``metric._dot``) so that it does not depend
-on the BLAS thread count.
-Gradients come back in a buffer of the same layout, which a training
-loop passes as ``out=`` to every step, and optimizers update the whole
-model with a few vector ops.
+on the BLAS thread count. Gradients come back in a buffer of the same
+layout, which a training loop passes as ``out=`` to every step, and
+optimizers update the whole model with a few vector ops.
 """
 
 from __future__ import annotations
@@ -103,6 +102,8 @@ class NetConfig:
         """Canonical (sorted, deduplicated) active tags; must be configured."""
         if type(active) is tuple and active == self.tags:  # already canonical
             return active
+        if isinstance(active, str):  # set() would split it into characters
+            raise ValueError(f"active modalities must be a collection of tags, not the string {active!r}")
         tags = tuple(sorted(set(active)))
         if not tags:
             raise ValueError("active modality set is empty")
@@ -236,95 +237,29 @@ class ReluStack:
         return d_out if input_grad else None
 
 
-class HeadBank:
-    """Every head of a model, run as one bank of two dense-ReLU layers.
-
-    The heads share ``head_hidden`` and ``head_out``, and their biases fill
-    one (heads, head_hidden + head_out) block of the flat buffer, which
-    starts at ``biases``. So each layer runs its bias add, ReLU, mask and
-    bias-gradient sum once over the stacked (heads, rows, width) arrays;
-    only the GEMMs run per head, each into its slice. The same operations
-    in the same order as one head at a time give the same bits.
-    """
-
-    def __init__(self, config: NetConfig, params: ParamBuffer, biases: int):
-        stacks = [_stacks(config)[f"head.{tag}"] for tag in config.tags]
-        # per layer, per head: the weights and their names in the buffer
-        self.names = [[layers[k][0] for layers in stacks] for k in range(2)]
-        self.weights = [[params[name] for name in names] for names in self.names]
-        self.bias_block = slice(biases, biases + len(config.tags) * (config.head_hidden + config.head_out))
-        self.hidden = config.head_hidden
-        # each layer's biases as a (heads, 1, width) view, added to its stacked outputs
-        self.biases = [b[:, None, :] for b in self._split(params)]
-
-    def _split(self, buffer: ParamBuffer) -> tuple[np.ndarray, np.ndarray]:
-        """The (heads, width) bias blocks of both layers in a buffer of the model's layout."""
-        block = buffer.flat[self.bias_block].reshape(len(self.names[0]), -1)
-        return block[:, : self.hidden], block[:, self.hidden :]
-
-    def forward(self, ys: list[np.ndarray], heads: list[int]) -> tuple[np.ndarray, list]:
-        """Sum over ``heads`` (ascending indices) of each head's output on its
-        input in ``ys``, added in that order, and the cache: ``ys`` and both
-        layers' stacked outputs."""
-        n, rows = len(heads), ys[0].shape[0]
-        (w1, w2), (b1, b2) = self.weights, self.biases
-        a1 = np.empty((n, rows, b1.shape[2]))
-        for i in range(n):
-            np.matmul(ys[i], w1[heads[i]].T, out=a1[i])
-        a1 += b1 if n == len(b1) else b1[heads]
-        np.maximum(a1, 0.0, out=a1)
-        a2 = np.empty((n, rows, b2.shape[2]))
-        for i in range(n):
-            np.matmul(a1[i], w2[heads[i]].T, out=a2[i])
-        a2 += b2 if n == len(b2) else b2[heads]
-        np.maximum(a2, 0.0, out=a2)
-        fused = a2[0] if n == 1 else a2[0] + a2[1]
-        for i in range(2, n):
-            fused += a2[i]
-        return fused, [ys, a1, a2]
-
-    def backward(self, acts: list, d_fused: np.ndarray, grads: ParamBuffer) -> None:
-        """Write d(loss)/dW and d(loss)/db of every head into ``grads``, from
-        the cache of a ``forward`` over all heads and d(loss)/d(sum)."""
-        ys, a1, a2 = acts
-        (n1, n2), w2 = self.names, self.weights[1]
-        grad_b1, grad_b2 = self._split(grads)
-        dz2 = d_fused * (a2 > 0)
-        for i in range(len(n2)):
-            np.matmul(dz2[i].T, a1[i], out=grads[n2[i]])
-        np.add.reduce(dz2, axis=1, out=grad_b2)
-        dz1 = np.empty_like(a1)
-        for i in range(len(n2)):
-            np.matmul(dz2[i], w2[i], out=dz1[i])
-        dz1 *= a1 > 0
-        for i in range(len(n1)):
-            np.matmul(dz1[i].T, ys[i], out=grads[n1[i]])
-        np.add.reduce(dz1, axis=1, out=grad_b1)
-
-
 class FusionNet:
     """Per-modality two-layer heads, elementwise sum and, for s2v, the shared output layer."""
 
-    def __init__(self, config: NetConfig, params: ParamBuffer, biases: int):
+    def __init__(self, config: NetConfig, params: Mapping[str, np.ndarray]):
         self.config = config
-        self.index = {tag: i for i, tag in enumerate(config.tags)}
-        self.bank = HeadBank(config, params, biases)
         stacks = _stacks(config)
+        self.heads = {tag: ReluStack(params, stacks[f"head.{tag}"]) for tag in config.tags}
         self.out = ReluStack(params, stacks["out"]) if "out" in stacks else None
         # the heads' and the shared layer's parameters: all but the visual map's
         self.params = {name: p for name, p in params.items() if not name.startswith("vmap.")}
 
     def fuse(
         self, inputs: Mapping[str, np.ndarray], tags: tuple[str, ...], n_targets: int | None = None
-    ) -> tuple[np.ndarray, list]:
-        """Sum of the heads' outputs over ``tags`` (sorted), and the bank's cache.
+    ) -> tuple[np.ndarray, list[list[np.ndarray]]]:
+        """Sum of the heads' outputs over ``tags``, added in that (sorted)
+        order, and each head's cache.
 
         Each input must have its modality's dim and ``n_targets`` rows if
         given, else as many rows as the first input.
         """
         dims = self.config.modality_dims
         rows, first = n_targets, None  # first: the modality that set rows, if not n_targets
-        ys = []
+        fused, caches = None, []
         for tag in tags:
             if tag not in inputs:
                 raise ValueError(f"no input provided for modality {tag}")
@@ -336,8 +271,15 @@ class FusionNet:
             elif y.shape[0] != rows:
                 of = f"{rows} targets" if first is None else f"{rows} rows of modality {first}"
                 raise ValueError(f"modality {tag}: {y.shape[0]} rows for {of}")
-            ys.append(y)
-        return self.bank.forward(ys, [self.index[tag] for tag in tags])
+            a, acts = self.heads[tag].forward(y)
+            caches.append(acts)
+            if fused is None:
+                fused = a
+            elif len(caches) == 2:  # a new array, so no head's cached output is overwritten
+                fused = fused + a
+            else:
+                fused += a
+        return fused, caches
 
 
 class EmbeddingModel:
@@ -355,7 +297,7 @@ class EmbeddingModel:
         stacks = _stacks(config)
         # the leading slice of flat that holds every weight (see param_shapes)
         self.weights = slice(0, sum(math.prod(s) for layers in stacks.values() for _, _, s in layers))
-        self.fusion = FusionNet(config, self.params, self.weights.stop)
+        self.fusion = FusionNet(config, self.params)
         self.visual_map = ReluStack(self.params, stacks["vmap"]) if "vmap" in stacks else None
         self.top = self.fusion.out or self.visual_map
 
@@ -384,8 +326,8 @@ class EmbeddingModel:
         return self._forward(inputs, targets, active, rows)[0]
 
     def _forward(self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str], rows):
-        """The loss and what the backward pass needs: the head bank's cache, the
-        top stack's cache, the residual, the batch size and the checked ``rows``."""
+        """The loss and what the backward pass needs: every head stack's cache,
+        the top stack's cache, the residual, the batch size and the checked ``rows``."""
         tags = self.config.check_active(active)
         if tags != self.config.tags:
             raise ValueError(f"active must name exactly the model's heads {list(self.config.tags)}")
@@ -398,9 +340,9 @@ class EmbeddingModel:
                 f"target dim {x.shape[1]} does not match embed_dim {self.config.embed_dim}"
             )
         if rows is None:
-            fused, head_acts = self.fusion.fuse(inputs, tags, m)
+            fused, head_caches = self.fusion.fuse(inputs, tags, m)
         else:
-            fused, head_acts = self.fusion.fuse(inputs, tags)
+            fused, head_caches = self.fusion.fuse(inputs, tags)
             rows = _as_rows(rows, m, fused.shape[0])
         if self.direction == S_TO_V:
             embedded, acts = self.top.forward(fused)
@@ -410,7 +352,7 @@ class EmbeddingModel:
             residual = mapped - (fused if rows is None else fused[rows])
         w = self.params.flat[self.weights]
         mse = float(np.add.reduce(residual * residual, axis=None)) / m
-        return mse + self.config.l2_lambda * float(_dot(w, w)), head_acts, acts, residual, m, rows
+        return mse + self.config.l2_lambda * float(_dot(w, w)), head_caches, acts, residual, m, rows
 
     def loss_and_grad(
         self,
@@ -435,16 +377,17 @@ class EmbeddingModel:
         laid out like ``params`` and written into and returned in ``out``, a
         buffer of that layout whose old values do not matter, or else a new one.
         """
-        loss, head_acts, acts, residual, m, rows = self._forward(inputs, targets, active, rows)
+        loss, head_caches, acts, residual, m, rows = self._forward(inputs, targets, active, rows)
         grads = ParamBuffer(param_shapes(self.config)) if out is None else out
-        k = head_acts[1].shape[1]  # the heads' input rows
+        k = head_caches[0][0].shape[0]  # the heads' input rows
         if self.direction == S_TO_V:
             d_top = _per_class(residual, rows, k, 2.0 / m)
             d_fused = self.top.backward(acts, d_top, grads, input_grad=True)
         else:
             self.top.backward(acts, (2.0 / m) * residual, grads)
             d_fused = _per_class(residual, rows, k, -2.0 / m)
-        self.fusion.bank.backward(head_acts, d_fused, grads)
+        for head, head_acts in zip(self.fusion.heads.values(), head_caches):
+            head.backward(head_acts, d_fused, grads)
 
         lam = self.config.l2_lambda
         if lam != 0.0:  # in blocks, so no weight-sized temporary is allocated

@@ -203,6 +203,17 @@ def test_evaluate_rejects_modalities_the_model_was_not_trained_on(direction):
         evaluate(model, ds, MetricKind.ec(0.9), ("C", "I", "T", "W"))
 
 
+def test_scoring_rejects_a_bare_string_of_modalities():
+    # "AB" would otherwise be split into the tags A and B
+    ds = build_dataset()
+    model = build_model(ds)
+    message = r"^active modalities must be a collection of tags, not the string 'AB'$"
+    with pytest.raises(ValueError, match=message):
+        evaluate(model, ds, MetricKind.ec(0.9), "AB")
+    with pytest.raises(ValueError, match=message):
+        ablate(ds, model.config, quick_train_config(), subsets=["AB"])
+
+
 def test_evaluate_visual_to_semantic_direction():
     ds = build_dataset()
     model = build_model(ds, direction=V_TO_S)

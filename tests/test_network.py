@@ -96,6 +96,23 @@ def test_init_deterministic_and_seed_sensitive():
 
 
 @pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+@pytest.mark.parametrize("n_heads", [1, 4])
+def test_branch_params_are_the_models_own_views(direction, n_heads):
+    # what a caller reads stack by stack: the fusion branch's and the visual map's arrays
+    dims = dict(zip("CITW", (3, 2, 4, 5)))
+    model = init_model(toy_config(direction, modality_dims=dims), seed=0, tags=tuple(dims)[:n_heads])
+    branches = [model.fusion.params]
+    if model.visual_map is not None:
+        branches.append(model.visual_map.params)
+    names = [name for params in branches for name in params]
+    assert sorted(names) == sorted(model.params)
+    for params in branches:
+        for name, p in params.items():
+            assert p is model.params[name], name
+            assert p.base is model.params.flat, name
+
+
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
 @pytest.mark.parametrize("tags", [("A",), ("B",), ("A", "B")])
 def test_init_draws_every_configured_layer_in_order(direction, tags):
     # heads in tag order, the shared layer, then the visual map; held or not
@@ -196,6 +213,26 @@ def test_forward_errors():
     # a one-row input would broadcast over the other modality's rows
     with pytest.raises(ValueError, match="modality B: 1 rows for 2 rows of modality A"):
         model.embed({"A": np.ones((2, 3)), "B": np.ones((1, 2))}, ("A", "B"))
+
+
+def test_a_bare_string_is_not_a_set_of_modalities():
+    # set("CI") is {"C", "I"}: both tags exist, so splitting it would pick the wrong heads
+    config = NetConfig({"C": 3, "I": 2, "CI": 4}, head_hidden=4, head_out=3, embed_dim=5)
+    model = init_model(config, seed=0)
+    inputs = {"C": np.ones((1, 3)), "I": np.ones((1, 2)), "CI": np.ones((1, 4))}
+    for text in ("CI", "word", "C"):
+        message = f"^active modalities must be a collection of tags, not the string {re.escape(repr(text))}$"
+        for call in (
+            lambda: config.check_active(text),
+            lambda: init_model(config, seed=0, tags=text),
+            lambda: model.embed(inputs, text),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+    assert config.check_active(["CI"]) == ("CI",)
+    assert config.check_active(("I", "C")) == ("C", "I")
+    tags = config.tags
+    assert config.check_active(tags) is tags  # the canonical tuple passes as is
 
 
 @pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
@@ -486,6 +523,7 @@ def per_head_embed(model, inputs, tags):
 @pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
 @pytest.mark.parametrize("n_heads", [1, 2, 3, 4])
 def test_head_bank_matches_per_head_heads_bitwise(n_heads, direction, class_rows):
+    # the model's bank of heads (one ReluStack each) against an oracle written apart from it
     rng = np.random.default_rng(zlib.crc32(f"{n_heads}|{direction}|{class_rows}".encode()))
     dims = {"C": 7, "I": 5, "T": 9, "W": 3}
     config = NetConfig(dims, embed_dim=6, head_hidden=8, head_out=5, direction=direction, l2_lambda=1e-3)

@@ -358,13 +358,15 @@ def test_train_runs_the_heads_once_per_class_of_a_batch(monkeypatch, direction):
     net = NetConfig(ds.modality_dims(), head_hidden=4, head_out=3, embed_dim=ds.visual.dim,
                     direction=direction)
     seen = []
-    forward = network.HeadBank.forward
+    forward = network.ReluStack.forward
+    heads = {f"head.{tag}.W1": tag for tag in net.tags}  # a head stack by its first weight
 
-    def recording(bank, ys, heads):
-        seen.extend((net.tags[head], y.shape[0]) for head, y in zip(heads, ys))
-        return forward(bank, ys, heads)
+    def recording(stack, x):
+        if stack.names[0][0] in heads:
+            seen.append((heads[stack.names[0][0]], x.shape[0]))
+        return forward(stack, x)
 
-    monkeypatch.setattr(network.HeadBank, "forward", recording)
+    monkeypatch.setattr(network.ReluStack, "forward", recording)
     train(ds, net, cfg, net.tags)
     order_rng = np.random.default_rng(cfg.seed)
     distinct = []
