@@ -10,17 +10,19 @@ Two directions are supported:
 
 * ``s2v`` — semantic vectors are embedded into the visual space and
   compared with visual features there;
-* ``v2s`` — a three-layer branch maps visual features into the
-  fused-semantic space, trained jointly with the heads against the fused
-  vectors; a v2s model has no shared layer.
+* ``v2s`` — a three-layer branch, the visual map, maps visual features
+  into the fused-semantic space. It alone trains, regressed onto the fused
+  class vectors as fixed targets, so the heads keep their random
+  ``init_model`` draw (a stop-gradient, as in Chen and He's SimSiam;
+  trained jointly, both sides fell to the loss's constant minimum).
 
-A model holds only the heads of the modalities it is trained on, and
-trains all of them. Inputs are batch matrices. The semantic side is per
-class, so a training batch gives the heads one row per distinct class of
-the batch and maps each sample to its class's row (``rows``): the heads
-and, for s2v, the shared layer run once per class, and each sample's
-residual gradient is summed per class before it enters them. Without
-``rows`` each input row belongs to one sample.
+A model holds only the heads of the modalities it is trained on, and a
+v2s model has no shared layer. Inputs are batch matrices. The semantic
+side is per class, so a training batch gives the heads one row per
+distinct class of the batch and maps each sample to its class's row
+(``rows``): the heads and, for s2v, the shared layer run once per class,
+and s2v sums each sample's residual gradient per class before it enters
+them. Without ``rows`` each input row belongs to one sample.
 
 Every branch (each head, the shared layer, the visual map) is a
 ``ReluStack``, the one dense-ReLU primitive: a stack of dense-ReLU
@@ -287,16 +289,17 @@ class EmbeddingModel:
 
     ``params`` holds every parameter of the configured heads and of the
     shared layer (s2v) or the visual map (v2s), zero until set
-    (``init_model`` draws them); ``fusion.params`` and
-    ``visual_map.params`` are views into it. Training covers all of them.
+    (``init_model`` draws them); ``fusion.params`` and ``visual_map.params``
+    are views into it. s2v trains all of them, v2s the visual map alone.
     """
 
     def __init__(self, config: NetConfig):
         self.config = config
         self.params = ParamBuffer(param_shapes(config))
         stacks = _stacks(config)
-        # the leading slice of flat that holds every weight (see param_shapes)
-        self.weights = slice(0, sum(math.prod(s) for layers in stacks.values() for _, _, s in layers))
+        sizes = [sum(math.prod(s) for _, _, s in layers) for layers in stacks.values()]
+        # the trained weights: every one (see param_shapes), or for v2s the visual map's, the last
+        self.weights = slice(sum(sizes) - sizes[-1] if "vmap" in stacks else 0, sum(sizes))
         self.fusion = FusionNet(config, self.params)
         self.visual_map = ReluStack(self.params, stacks["vmap"]) if "vmap" in stacks else None
         self.top = self.fusion.out or self.visual_map
@@ -369,25 +372,25 @@ class EmbeddingModel:
         one semantic row per sample. With ``rows``, every input holds the
         same k class rows and target ``i`` pairs with input row ``rows[i]``,
         an integer in [0, k): the heads and, for s2v, the shared layer run
-        on the k class rows, and each sample's residual gradient is summed
-        per class before it enters them. The v2s visual map runs per sample.
+        on the k class rows, and s2v sums each sample's residual gradient
+        per class before it enters them. The v2s visual map runs per sample
+        against the fused rows as fixed targets: each head entry is 0.
 
-        The L2 term covers every weight matrix (not the biases), so the
-        returned gradients are exact partials of the returned loss. They are
+        The L2 term covers the trained weights (``weights``), not the biases, so
+        the returned gradients are exact partials of the returned loss. They are
         laid out like ``params`` and written into and returned in ``out``, a
         buffer of that layout whose old values do not matter, or else a new one.
         """
         loss, head_caches, acts, residual, m, rows = self._forward(inputs, targets, active, rows)
         grads = ParamBuffer(param_shapes(self.config)) if out is None else out
-        k = head_caches[0][0].shape[0]  # the heads' input rows
         if self.direction == S_TO_V:
-            d_top = _per_class(residual, rows, k, 2.0 / m)
+            d_top = _per_class(residual, rows, head_caches[0][0].shape[0], 2.0 / m)
             d_fused = self.top.backward(acts, d_top, grads, input_grad=True)
-        else:
+            for head, head_acts in zip(self.fusion.heads.values(), head_caches):
+                head.backward(head_acts, d_fused, grads)
+        else:  # the fused targets are fixed: the heads' entries are 0
+            grads.flat.fill(0.0)
             self.top.backward(acts, (2.0 / m) * residual, grads)
-            d_fused = _per_class(residual, rows, k, -2.0 / m)
-        for head, head_acts in zip(self.fusion.heads.values(), head_caches):
-            head.backward(head_acts, d_fused, grads)
 
         lam = self.config.l2_lambda
         if lam != 0.0:  # in blocks, so no weight-sized temporary is allocated
@@ -465,7 +468,9 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
     Covers every non-empty subset of four modalities in both directions
     with random dims <= 8 and two batches each: up to 4 samples with an
     input row each, and up to 7 samples that share up to 3 class rows
-    (``rows``), so that classes repeat; returns the max relative error.
+    (``rows``), so that classes repeat; returns the max relative error. A
+    v2s gradient's head entries must be exactly 0 (else the error is inf),
+    and only its visual map's partials are compared.
     All parameters (biases included) are jittered to generic values so no
     ReLU preactivation sits exactly at its kink, where the one-sided
     subgradient convention and central differences disagree.
@@ -500,5 +505,9 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
                 targets = rng.uniform(0.0, 1.0, size=(m if rows is None else m + k, config.embed_dim))
                 _, analytic = model.loss_and_grad(inputs, targets, subset, rows=rows)
                 numeric = numerical_gradients(model, inputs, targets, subset, step=step, rows=rows)
+                if direction == V_TO_S:  # fixed fused targets: the heads' entries must be exactly 0
+                    for name in model.fusion.params:
+                        worst = math.inf if analytic[name].any() else worst
+                        numeric[name][...] = 0.0
                 worst = max(worst, max_relative_error(analytic, numeric))
     return worst

@@ -15,7 +15,8 @@ defaults of Kingma and Ba, and SGD uses ``SGD_MOMENTUM``. Adam keeps its
 moments scaled by ``1 / (1 - beta)``, which folds the bias corrections
 and ``lr`` into two scalars per step; its updates differ from Kingma and
 Ba's form only in rounding, so checkpoints trained by versions that kept
-the moments unscaled are not byte-equal to new ones either.
+the moments unscaled are not byte-equal to new ones either. Older v2s
+checkpoints still load and score but hold jointly trained heads.
 
 Checkpoints are a single binary file: magic ``ZSLC``, u32 LE version,
 a length-prefixed ``key = value`` text block holding the architecture

@@ -77,10 +77,12 @@ def test_distance_rejects_a_non_finite_component(a, capsys):
 
 
 def test_gradcheck_passes(capsys):
-    assert dispatch(["gradcheck", "--seed", "7"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("max relative error ")
-    assert float(out.rsplit(" ", 1)[1]) < 1e-6
+    # 7 and 17 read the two largest errors of seeds 0-19, 2.9e-7 and 2.2e-7
+    for seed in ("7", "17"):
+        assert dispatch(["gradcheck", "--seed", seed]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("max relative error ")
+        assert float(out.rsplit(" ", 1)[1]) < 1e-6
 
 
 @pytest.mark.parametrize(

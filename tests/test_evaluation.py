@@ -372,6 +372,24 @@ def test_all_subsets():
     assert all_subsets(tags) == sorted(masks, key=lambda s: (len(s), s))
 
 
+@pytest.mark.parametrize("seed, subset", [(1, ("I",)), (2, ("W",)), (5, ("C", "I"))])
+def test_v2s_grid_cells_keep_distinct_prototypes_and_queries(seed, subset):
+    # trained jointly with the visual map, these cells' heads collapsed towards the
+    # constant model at the loss's minimum: unseen classes shared one prototype, or every
+    # test row mapped to one query, and ties scored top-1 1/6
+    ds = generate(SynthConfig(seed=seed))
+    net = NetConfig(ds.modality_dims(), embed_dim=ds.visual.dim, head_hidden=32, head_out=48,
+                    direction=V_TO_S)
+    tc = TrainConfig(optimizer="adam", lr=3e-3, batch_size=64, epochs=200,
+                     seed=cell_seed(seed, subset, V_TO_S))
+    model, _ = train(ds, net, tc, subset)
+    ids = sorted(ds.unseen)
+    prototypes = model.embed({t: ds.table(t).matrix(ids) for t in subset}, subset)
+    assert len(ids) == 6
+    assert len(np.unique(prototypes, axis=0)) == 6
+    assert len(np.unique(model.map_visual(ds.test_visual.values), axis=0)) > 1
+
+
 def test_ablate_single_cell():
     ds = build_dataset()
     net = NetConfig(modality_dims=ds.modality_dims(), head_hidden=5, head_out=4,

@@ -463,13 +463,23 @@ def per_head_fuse(p, inputs, tags):
     return heads, fused
 
 
+def trained_names(model):
+    """The parameters a step moves: every one for s2v, the visual map's for v2s,
+    whose targets are the heads' fixed fused outputs."""
+    return [name for name in model.params if model.config.direction == S_TO_V or name.startswith("vmap.")]
+
+
 def per_head_oracle(model, inputs, targets, rows):
     """``loss_and_grad``'s loss and gradients, with every head its own stack of
     two dense-ReLU layers, the heads summed in sorted tag order, and the
-    backward pass run one head at a time, each op as the model orders it."""
+    backward pass run one head at a time, each op as the model orders it.
+    For v2s the fused sum is a fixed target: only the visual map backprops,
+    the heads' gradients are zero, and the penalty covers the visual map's
+    weights alone."""
     p, cfg = model.params, model.config
     lam, m = cfg.l2_lambda, targets.shape[0]
-    grads = {name: np.empty_like(a) for name, a in p.items()}
+    grads = {name: np.zeros_like(a) for name, a in p.items()}
+    trained = trained_names(model)
 
     def backward(acts, d_out, names):
         for k in reversed(range(len(names))):
@@ -496,18 +506,17 @@ def per_head_oracle(model, inputs, targets, rows):
         names = layer_names("vmap", 1, 3)
         top = dense_relu(p, targets, names)
         residual = top[-1] - (fused if rows is None else fused[rows])
-    w = p.flat[model.weights]
+    trained_weights = [name for name in trained if name.rsplit(".", 1)[1].startswith("W")]
+    w = np.concatenate([p[name].ravel() for name in trained_weights])
     loss = float(np.add.reduce(residual * residual, axis=None)) / m + lam * float(_dot(w, w))
     if cfg.direction == S_TO_V:
         d_fused = backward(top, per_class(residual, 2.0 / m), names)
+        for t, acts in heads.items():
+            backward(acts, d_fused, layer_names(f"head.{t}", 1, 2))
     else:
         backward(top, (2.0 / m) * residual, names)
-        d_fused = per_class(residual, -2.0 / m)
-    for t, acts in heads.items():
-        backward(acts, d_fused, layer_names(f"head.{t}", 1, 2))
-    for name, g in grads.items():
-        if name.rsplit(".", 1)[1].startswith("W"):
-            g += (2.0 * lam) * p[name]
+    for name in trained_weights:
+        grads[name] += (2.0 * lam) * p[name]
     return loss, grads
 
 
@@ -540,6 +549,9 @@ def test_head_bank_matches_per_head_heads_bitwise(n_heads, direction, class_rows
         assert list(grads) == list(expected)
         for name, g in expected.items():
             assert grads[name].tobytes() == g.tobytes(), (held, name)
+        if direction == V_TO_S:  # the heads' entries are exactly +0.0, the visual map's are not all 0
+            assert all(not grads[name].any() for name in grads if name.startswith("head."))
+            assert any(grads[name].any() for name in trained_names(model)), held
         for size in range(1, n_heads + 1):
             for subset in itertools.combinations(held, size):
                 got = model.embed(inputs, subset[::-1])
@@ -581,6 +593,18 @@ def test_gradients_match_finite_differences(direction, active):
         _, analytic = model.loss_and_grad(inputs, targets, active, rows=rows)
         numeric = finite_difference(model, inputs, targets, active, rows=rows)
         assert set(analytic) == set(numeric)
+        if direction == V_TO_S:
+            # the fused targets are fixed: the heads' entries are exactly 0 (their finite
+            # differences are those of the joint loss), and the relative scale is the
+            # visual map's own gradient
+            shapes = {name: analytic[name].shape for name in trained_names(model)}
+            assert all(not analytic[name].any() for name in analytic if name not in shapes)
+            assert any(numeric[name].any() for name in analytic if name not in shapes)
+            analytic_map, numeric_map = ParamBuffer(shapes), ParamBuffer(shapes)
+            for name in shapes:
+                analytic_map[name][...] = analytic[name]
+                numeric_map[name][...] = numeric[name]
+            analytic, numeric = analytic_map, numeric_map
         err = max_relative_error(analytic, numeric)
         assert err < 1e-6, f"class_rows={class_rows}"
 
@@ -660,7 +684,13 @@ def test_param_shapes_put_every_weight_before_every_bias(direction):
     for name in names[:n_weights]:  # every weight is a view into the leading span of flat
         assert np.shares_memory(model.params[name], model.params.flat[:size])
         assert not np.shares_memory(model.params[name], model.params.flat[size:])
-    assert model.weights == slice(0, size)
+    # the penalty's slice holds the trained weights, which end that span: all of them for
+    # s2v, the visual map's for v2s
+    trained = [name for name in trained_names(model) if name in names[:n_weights]]
+    assert names[n_weights - len(trained) : n_weights] == trained
+    assert model.weights == slice(size - sum(model.params[name].size for name in trained), size)
+    if direction == V_TO_S:
+        assert model.weights.start > 0 and trained == ["vmap.W1", "vmap.W2", "vmap.W3"]
 
 
 # checkpoints store params.flat in this order with no names or shapes: a reorder
@@ -686,11 +716,16 @@ def test_weight_slice_with_a_modality_tagged_w(direction):
     # the names head.W.b1 and head.W.b2 contain ".W"; the penalty still covers no bias
     model = init_model(toy_config(direction, modality_dims={"W": 3, "b": 2}, l2_lambda=1e-3), seed=1)
     weights = [p for name, p in model.params.items() if name.rsplit(".", 1)[1].startswith("W")]
-    assert model.weights == slice(0, sum(p.size for p in weights))
-    # zero weights and a large bias in the first layer: every output, residual and
-    # gradient is exactly zero unless the penalty takes in that bias
+    size = sum(p.size for p in weights)
+    # v2s penalizes the visual map's weights alone, which end the span
+    vmap = sum(p.size for name, p in model.params.items() if name.startswith("vmap.W"))
+    assert model.weights == slice(size - vmap if direction == V_TO_S else 0, size)
+    # zero weights and a large bias in a first layer (for v2s, the visual map's too): every
+    # output, residual and gradient is exactly zero unless the penalty takes in a bias
     model.params.flat[:] = 0.0
     model.params["head.W.b1"][...] = 7.0
+    if direction == V_TO_S:
+        model.params["vmap.b1"][...] = 7.0
     inputs = {"W": np.ones((2, 3)), "b": np.ones((2, 2))}
     loss, grads = model.loss_and_grad(inputs, np.zeros((2, 5)), ("W", "b"))
     assert loss == 0.0
@@ -709,8 +744,11 @@ def test_l2_penalty_equals_the_per_array_sum(direction, active):
         if name.rsplit(".", 1)[1].startswith("b"):
             p[...] = 0.0
     inputs = {"A": np.zeros((3, 3)), "B": np.zeros((3, 2))}
+    # every weight for s2v; for v2s the visual map's alone, as its heads are fixed
     reference = sum(
-        float(np.sum(p * p)) for name, p in model.params.items() if name.rsplit(".", 1)[1].startswith("W")
+        float(np.sum(model.params[name] ** 2))
+        for name in trained_names(model)
+        if name.rsplit(".", 1)[1].startswith("W")
     )
     loss = model.loss(inputs, np.zeros((3, 5)), active)
     assert loss == pytest.approx(lam * reference, rel=1e-12, abs=0.0)
