@@ -18,11 +18,14 @@ Two directions are supported:
 
 A model holds only the heads of the modalities it is trained on, and a
 v2s model has no shared layer. Inputs are batch matrices. The semantic
-side is per class, so a training batch gives the heads one row per
+side is per class, so a training batch gives the loss one row per
 distinct class of the batch and maps each sample to its class's row
-(``rows``): the heads and, for s2v, the shared layer run once per class,
-and s2v sums each sample's residual gradient per class before it enters
-them. Without ``rows`` each input row belongs to one sample.
+(``rows``). For s2v those are the modality inputs: the heads and the
+shared layer run once per class, and each sample's residual gradient is
+summed per class before it enters them. For v2s they are the fused class
+rows themselves (``embed``'s output): the targets are fixed, so no head
+runs inside the loss, and a training run fuses its seen-class table once.
+Without ``rows`` each input row belongs to one sample.
 
 Every branch (each head, the shared layer, the visual map) is a
 ``ReluStack``, the one dense-ReLU primitive: a stack of dense-ReLU
@@ -324,13 +327,16 @@ class EmbeddingModel:
             raise ValueError(f"expected visual dim {self.config.embed_dim}, got {batch.shape[1]}")
         return self.visual_map.forward(batch)[0]
 
-    def loss(self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str], rows=None) -> float:
+    def loss(
+        self, inputs: Mapping[str, np.ndarray] | np.ndarray, targets, active: Iterable[str], rows=None
+    ) -> float:
         """The loss of ``loss_and_grad``, from the forward pass alone."""
         return self._forward(inputs, targets, active, rows)[0]
 
-    def _forward(self, inputs: Mapping[str, np.ndarray], targets, active: Iterable[str], rows):
-        """The loss and what the backward pass needs: every head stack's cache,
-        the top stack's cache, the residual, the batch size and the checked ``rows``."""
+    def _forward(self, inputs: Mapping[str, np.ndarray] | np.ndarray, targets, active: Iterable[str], rows):
+        """The loss and what the backward pass needs: every head stack's cache
+        (None for v2s), the top stack's cache, the residual, the batch size and
+        the checked ``rows``."""
         tags = self.config.check_active(active)
         if tags != self.config.tags:
             raise ValueError(f"active must name exactly the model's heads {list(self.config.tags)}")
@@ -342,10 +348,17 @@ class EmbeddingModel:
             raise ValueError(
                 f"target dim {x.shape[1]} does not match embed_dim {self.config.embed_dim}"
             )
-        if rows is None:
-            fused, head_caches = self.fusion.fuse(inputs, tags, m)
-        else:
-            fused, head_caches = self.fusion.fuse(inputs, tags)
+        if self.direction == S_TO_V:
+            fused, head_caches = self.fusion.fuse(inputs, tags, m if rows is None else None)
+        else:  # the fused rows are the fixed targets: no head runs
+            if isinstance(inputs, Mapping):
+                raise ValueError("fused rows: a v2s loss takes embed's fused rows, not modality inputs")
+            fused, head_caches = _as_batch(inputs, "fused rows"), None
+            if fused.shape[1] != self.config.head_out:
+                raise ValueError(f"fused rows: expected width {self.config.head_out}, got {fused.shape[1]}")
+            if rows is None and fused.shape[0] != m:
+                raise ValueError(f"fused rows: {fused.shape[0]} rows for {m} targets")
+        if rows is not None:
             rows = _as_rows(rows, m, fused.shape[0])
         if self.direction == S_TO_V:
             embedded, acts = self.top.forward(fused)
@@ -359,7 +372,7 @@ class EmbeddingModel:
 
     def loss_and_grad(
         self,
-        inputs: Mapping[str, np.ndarray],
+        inputs: Mapping[str, np.ndarray] | np.ndarray,
         targets,
         active: Iterable[str],
         out: ParamBuffer | None = None,
@@ -368,13 +381,16 @@ class EmbeddingModel:
         """Mean squared error plus L2 weight penalty, with analytic gradients.
 
         ``targets`` holds one visual feature row per sample; ``active`` must
-        name exactly the model's heads. Without ``rows`` every input holds
-        one semantic row per sample. With ``rows``, every input holds the
-        same k class rows and target ``i`` pairs with input row ``rows[i]``,
-        an integer in [0, k): the heads and, for s2v, the shared layer run
-        on the k class rows, and s2v sums each sample's residual gradient
-        per class before it enters them. The v2s visual map runs per sample
-        against the fused rows as fixed targets: each head entry is 0.
+        name exactly the model's heads. For s2v, ``inputs`` maps each head's
+        modality to its semantic rows. For v2s it is the matrix of fused
+        class rows that ``embed`` returns for the model's heads, ``head_out``
+        wide: they are fixed targets, so no head runs here and each head
+        entry of the gradient is 0. Without ``rows`` every input holds one
+        row per sample. With ``rows``, every input holds the same k class
+        rows and target ``i`` pairs with input row ``rows[i]``, an integer
+        in [0, k): for s2v the heads and the shared layer run on the k class
+        rows, and each sample's residual gradient is summed per class before
+        it enters them. The v2s visual map runs per sample.
 
         The L2 term covers the trained weights (``weights``), not the biases, so
         the returned gradients are exact partials of the returned loss. They are
@@ -469,8 +485,9 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
     with random dims <= 8 and two batches each: up to 4 samples with an
     input row each, and up to 7 samples that share up to 3 class rows
     (``rows``), so that classes repeat; returns the max relative error. A
-    v2s gradient's head entries must be exactly 0 (else the error is inf),
-    and only its visual map's partials are compared.
+    v2s loss takes the inputs' fused rows, so its heads' finite differences
+    are 0, and its analytic head entries must be exactly 0 (else the error
+    is inf).
     All parameters (biases included) are jittered to generic values so no
     ReLU preactivation sits exactly at its kink, where the one-sided
     subgradient convention and central differences disagree.
@@ -503,11 +520,11 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
                 n_in = m if rows is None else k
                 inputs = {t: rng.normal(size=(n_in, dims[t])) for t in subset}
                 targets = rng.uniform(0.0, 1.0, size=(m if rows is None else m + k, config.embed_dim))
+                if direction == V_TO_S:
+                    inputs = model.embed(inputs, subset)
                 _, analytic = model.loss_and_grad(inputs, targets, subset, rows=rows)
                 numeric = numerical_gradients(model, inputs, targets, subset, step=step, rows=rows)
-                if direction == V_TO_S:  # fixed fused targets: the heads' entries must be exactly 0
-                    for name in model.fusion.params:
-                        worst = math.inf if analytic[name].any() else worst
-                        numeric[name][...] = 0.0
+                if direction == V_TO_S and any(analytic[name].any() for name in model.fusion.params):
+                    worst = math.inf
                 worst = max(worst, max_relative_error(analytic, numeric))
     return worst

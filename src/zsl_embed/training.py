@@ -3,10 +3,12 @@
 Training pairs a sample's visual feature with its class's semantic
 vectors. Every epoch the samples are reshuffled (seeded), split into
 mini-batches (the last batch may be short), and one optimizer step is
-taken per batch. A batch's semantic inputs hold one row per distinct
-class of the batch, in class order, and each sample names its class's
-row (``rows`` of ``EmbeddingModel.loss_and_grad``), so the semantic
-branch runs once per class and not once per sample. Checkpoints written
+taken per batch. For s2v a batch's semantic inputs hold one row per
+distinct class of the batch, in class order, and each sample names its
+class's row (``rows`` of ``EmbeddingModel.loss_and_grad``), so the
+semantic branch runs once per class and not once per sample. v2s
+regresses onto fixed fused class rows, so a run fuses its seen-class
+table once and each sample names its class's row of it. Checkpoints written
 by versions that ran it per sample are not byte-equal to new ones (the
 sums differ in their last bits); reruns and ``ablate --jobs`` settings
 stay byte-identical to one another. Every step runs at the one ``lr``
@@ -41,7 +43,7 @@ from typing import Iterable
 import numpy as np
 
 from .data import Dataset, parse_modality_dims
-from .network import EmbeddingModel, NetConfig, ParamBuffer, _BLOCK, _blocks, init_model, param_shapes
+from .network import V_TO_S, EmbeddingModel, NetConfig, ParamBuffer, _BLOCK, _blocks, init_model, param_shapes
 
 CHECKPOINT_MAGIC = b"ZSLC"
 CHECKPOINT_VERSION = 3
@@ -159,9 +161,13 @@ def train(
 
     The model holds the heads of ``active`` and the shared layer (s2v) or
     the visual map (v2s), as ``init_model`` draws them for ``net_config``.
-    Each batch's semantic inputs hold one row per distinct class, in class
-    order, with ``rows`` naming each sample's. The same seed drives both
-    initialization and shuffling, so the run is fully deterministic.
+    For s2v each batch's semantic inputs hold one row per distinct class,
+    in class order, with ``rows`` naming each sample's; for v2s the heads
+    run once, on every seen class, and ``rows`` indexes that fused table.
+    Its rows are bitwise those of fusing a batch's classes alone, except
+    for a 1-class batch, whose heads run as a matrix-vector product that
+    rounds differently. The same seed drives both initialization and
+    shuffling, so the run is fully deterministic.
     Returns the trained model and per-epoch history. Raises ValueError
     naming the epoch and batch if a batch loss is not finite or more than
     ``DIVERGENCE_RATIO`` times the first batch's, as when too large a
@@ -182,7 +188,9 @@ def train(
     # one semantic row per seen class; a sample's class is at its label's position
     classes, positions = np.unique(dataset.visual.labels, return_inverse=True)
     semantics = {tag: dataset.table(tag).matrix(classes) for tag in tags}
-    slot = np.empty(classes.size, dtype=np.intp)  # each class's row in the current batch
+    # v2s regresses onto fixed fused class rows: fuse every seen class once
+    fused = model.embed(semantics, tags) if model.direction == V_TO_S else None
+    slot = np.empty(classes.size, dtype=np.intp)  # each class's row in the current s2v batch
 
     optimizer = (Adam if train_config.optimizer == "adam" else SgdMomentum)(model.params, train_config.lr)
     grads = ParamBuffer(param_shapes(model.config))  # every step overwrites it
@@ -193,11 +201,12 @@ def train(
         total = 0.0
         for start in range(0, n, train_config.batch_size):
             idx = order[start : start + train_config.batch_size]
-            labels = positions[idx]
-            present = np.flatnonzero(np.bincount(labels))  # the batch's classes, in class order
-            slot[present] = np.arange(present.size)
-            batch = {tag: semantics[tag][present] for tag in tags}
-            loss, _ = model.loss_and_grad(batch, targets[idx], tags, out=grads, rows=slot[labels])
+            inputs, rows = fused, positions[idx]
+            if fused is None:  # s2v: the batch's classes, in class order
+                present = np.flatnonzero(np.bincount(rows))
+                slot[present] = np.arange(present.size)
+                inputs, rows = {tag: semantics[tag][present] for tag in tags}, slot[rows]
+            loss, _ = model.loss_and_grad(inputs, targets[idx], tags, out=grads, rows=rows)
             first = loss if first is None else first
             if not math.isfinite(loss) or loss > DIVERGENCE_RATIO * first:
                 raise ValueError(

@@ -7,7 +7,7 @@ metric beats plain squared Euclidean), oracle equivalence of the evaluation
 stack, bit-level determinism, and the degenerate-input contracts. Each test
 prints one ``criterion N (...): PASS|FAIL`` line; run with ``-s`` to see
 them live. The shared five-seed benchmark bundle trains 30 small models in
-about half a minute and prints the headline table behind criteria 3-5.
+about ten seconds and prints the headline table behind criteria 3-5.
 """
 
 import time

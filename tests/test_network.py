@@ -61,6 +61,12 @@ def jitter(model, rng, scale=0.3):
         p += rng.uniform(-scale, scale, size=p.shape)
 
 
+def loss_inputs(model, inputs, active):
+    """What ``loss`` and ``loss_and_grad`` take for the modality ``inputs``:
+    the inputs themselves for s2v, their fused rows (``embed``) for v2s."""
+    return inputs if model.direction == S_TO_V else model.embed(inputs, active)
+
+
 # ---------------------------------------------------------------------------
 # config and init
 
@@ -322,8 +328,9 @@ def test_forward_only_loss_equals_loss_and_grad_bitwise(direction, lam):
     for active in (("A",), ("A", "B")):
         model = init_model(toy_config(direction, l2_lambda=lam), seed=4, tags=active)
         jitter(model, rng)
-        loss = model.loss(inputs, targets, active)
-        assert loss.hex() == model.loss_and_grad(inputs, targets, active)[0].hex()
+        x = loss_inputs(model, inputs, active)
+        loss = model.loss(x, targets, active)
+        assert loss.hex() == model.loss_and_grad(x, targets, active)[0].hex()
 
 
 def test_loss_errors():
@@ -352,7 +359,8 @@ def test_class_rows_match_per_sample_rows(direction, rows):
     rows = np.array(rows)
     k = rows.max() + 1
     classes = {"A": rng.normal(size=(k, 3)), "B": rng.normal(size=(k, 2))}
-    samples = {t: v[rows] for t, v in classes.items()}
+    samples = loss_inputs(model, {t: v[rows] for t, v in classes.items()}, ("A", "B"))
+    classes = loss_inputs(model, classes, ("A", "B"))
     targets = rng.uniform(0, 1, size=(rows.size, 5))
     loss, grads = model.loss_and_grad(classes, targets, ("A", "B"), rows=rows)
     want, expected = model.loss_and_grad(samples, targets, ("A", "B"))
@@ -376,7 +384,7 @@ def test_class_rows_match_per_sample_rows(direction, rows):
 @pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
 def test_bad_class_rows_are_rejected(direction, rows, message):
     model = init_model(toy_config(direction), seed=0)
-    inputs = {"A": np.ones((2, 3)), "B": np.ones((2, 2))}
+    inputs = loss_inputs(model, {"A": np.ones((2, 3)), "B": np.ones((2, 2))}, ("A", "B"))
     for call in (model.loss, model.loss_and_grad):
         with pytest.raises(ValueError, match=message):
             call(inputs, np.ones((3, 5)), ("A", "B"), rows=rows)
@@ -413,8 +421,9 @@ def test_training_a_proper_subset_of_the_heads_raises(direction):
     targets = np.ones((2, 5))
     for call in (model.loss, model.loss_and_grad):
         with pytest.raises(ValueError, match=r"exactly the model's heads \['A', 'B'\]"):
-            call(inputs, targets, ("B",))
+            call(loss_inputs(model, inputs, ("B",)), targets, ("B",))
     # every head, in any order, trains
+    inputs = loss_inputs(model, inputs, ("A", "B"))
     assert model.loss(inputs, targets, ("B", "A")) == model.loss_and_grad(inputs, targets, ("A", "B"))[0]
 
 
@@ -423,7 +432,9 @@ def test_training_a_proper_subset_of_the_heads_raises(direction):
     [
         ({"active": ("A",)}, "active must name exactly the model's heads ['A', 'B']"),
         ({"inputs": {"A": np.ones((2, 4)), "B": np.ones((2, 2))}}, "modality A: expected dim 3, got 4"),
-        ({"inputs": {"A": np.ones((2, 3)), "B": np.ones((1, 2))}}, "modality B: 1 rows for 2 targets"),
+        # v2s fuses the modality inputs in embed, which checks them against one another
+        ({"inputs": {"A": np.ones((2, 3)), "B": np.ones((1, 2))}},
+         {S_TO_V: "modality B: 1 rows for 2 targets", V_TO_S: "modality B: 1 rows for 2 rows of modality A"}),
         ({"rows": np.array([True, False])}, "rows[0] = True is not an integer class-row index (dtype bool)"),
         ({"rows": np.array([0, 2])}, "rows[1] = 2 is outside [0, 2), the inputs' class rows"),
         ({"targets": np.ones((0, 5))}, "empty batch"),
@@ -435,8 +446,31 @@ def test_loss_and_grad_input_errors_keep_their_messages(direction, call, message
     model = init_model(toy_config(direction), seed=0)
     args = {"inputs": {"A": np.ones((2, 3)), "B": np.ones((2, 2))}, "targets": np.ones((2, 5)),
             "active": ("A", "B"), "rows": None} | call
+    message = message[direction] if isinstance(message, dict) else message
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        model.loss_and_grad(args["inputs"], args["targets"], args["active"], rows=args["rows"])
+        inputs = loss_inputs(model, args["inputs"], args["active"])
+        model.loss_and_grad(inputs, args["targets"], args["active"], rows=args["rows"])
+
+
+@pytest.mark.parametrize(
+    "fused, rows, message",
+    [
+        (np.ones((2, 4)), None, "fused rows: expected width 3, got 4"),
+        (np.ones((1, 3)), None, "fused rows: 1 rows for 2 targets"),
+        (np.ones((3, 3)), None, "fused rows: 3 rows for 2 targets"),
+        (np.ones(3), None, "fused rows: expected a batch matrix, got shape (3,)"),
+        ({"A": np.ones((2, 3)), "B": np.ones((2, 2))}, None,
+         "fused rows: a v2s loss takes embed's fused rows, not modality inputs"),
+        (np.ones((2, 3)), np.array([0, 2]), "rows[1] = 2 is outside [0, 2), the inputs' class rows"),
+        (np.ones((2, 3)), np.array([0]), "rows: expected one class-row index per target, shape (2,), got (1,)"),
+    ],
+    ids=["width", "too few rows", "too many rows", "1-D", "modality inputs", "rows out of range", "rows count"],
+)
+def test_v2s_loss_checks_its_fused_rows(fused, rows, message):
+    model = init_model(toy_config(V_TO_S), seed=0)
+    for call in (model.loss, model.loss_and_grad):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(fused, np.ones((2, 5)), ("A", "B"), rows=rows)
 
 
 def layer_names(prefix, first, n):
@@ -543,7 +577,7 @@ def test_head_bank_matches_per_head_heads_bitwise(n_heads, direction, class_rows
         rows = np.array([1, 0, 3, 1, 1, 2, 0, 3, 3, 1, 2]) if class_rows else None
         inputs = {t: rng.normal(size=(k, dims[t])) for t in held}
         targets = rng.uniform(0, 1, size=(m, 6))
-        loss, grads = model.loss_and_grad(inputs, targets, held, rows=rows)
+        loss, grads = model.loss_and_grad(loss_inputs(model, inputs, held), targets, held, rows=rows)
         want, expected = per_head_oracle(model, inputs, targets, rows)
         assert loss.hex() == want.hex(), held
         assert list(grads) == list(expected)
@@ -590,21 +624,14 @@ def test_gradients_match_finite_differences(direction, active):
     rng = np.random.default_rng(zlib.crc32(f"{direction}|{active}".encode()))
     for class_rows in (False, True):
         model, inputs, targets, rows = random_instance(rng, direction, active, class_rows=class_rows)
+        inputs = loss_inputs(model, inputs, active)
         _, analytic = model.loss_and_grad(inputs, targets, active, rows=rows)
         numeric = finite_difference(model, inputs, targets, active, rows=rows)
         assert set(analytic) == set(numeric)
-        if direction == V_TO_S:
-            # the fused targets are fixed: the heads' entries are exactly 0 (their finite
-            # differences are those of the joint loss), and the relative scale is the
-            # visual map's own gradient
-            shapes = {name: analytic[name].shape for name in trained_names(model)}
-            assert all(not analytic[name].any() for name in analytic if name not in shapes)
-            assert any(numeric[name].any() for name in analytic if name not in shapes)
-            analytic_map, numeric_map = ParamBuffer(shapes), ParamBuffer(shapes)
-            for name in shapes:
-                analytic_map[name][...] = analytic[name]
-                numeric_map[name][...] = numeric[name]
-            analytic, numeric = analytic_map, numeric_map
+        if direction == V_TO_S:  # the loss takes the fused rows: no head runs in it
+            for name in analytic:
+                if name not in trained_names(model):
+                    assert not analytic[name].any() and not numeric[name].any(), name
         err = max_relative_error(analytic, numeric)
         assert err < 1e-6, f"class_rows={class_rows}"
 
@@ -625,6 +652,7 @@ def test_gradient_with_regularization_includes_weight_term():
 def test_numerical_gradients_equal_the_independent_loop_bitwise(direction):
     rng = np.random.default_rng(zlib.crc32(direction.encode()))
     model, inputs, targets, _ = random_instance(rng, direction)
+    inputs = loss_inputs(model, inputs, ("A", "B"))
     numeric = numerical_gradients(model, inputs, targets, ("A", "B"), step=1e-5)
     expected = finite_difference(model, inputs, targets, ("A", "B"))
     assert isinstance(numeric, ParamBuffer)
@@ -644,11 +672,13 @@ def test_returned_gradients_survive_later_calls(direction):
     model = init_model(toy_config(direction=direction, l2_lambda=1e-3), seed=2)
     inputs = {"A": rng.normal(size=(3, 3)), "B": rng.normal(size=(3, 2))}
     targets = rng.uniform(0, 1, size=(3, 5))
+    doubled = loss_inputs(model, {k: 2 * v for k, v in inputs.items()}, ("A", "B"))
+    inputs = loss_inputs(model, inputs, ("A", "B"))
     _, grads = model.loss_and_grad(inputs, targets, ("A", "B"))
     kept = {name: g.copy() for name, g in grads.items()}
     flat = grads.flat.copy()
     model.loss(inputs, targets[::-1], ("A", "B"))
-    model.loss_and_grad({k: 2 * v for k, v in inputs.items()}, targets, ("A", "B"))
+    model.loss_and_grad(doubled, targets, ("A", "B"))
     model.loss_and_grad(inputs, targets[::-1], ("A", "B"))
     for name, g in grads.items():
         assert g.tobytes() == kept[name].tobytes(), name
@@ -661,7 +691,7 @@ def test_gradients_into_a_dirty_buffer_equal_a_fresh_call_bitwise(direction, act
     rng = np.random.default_rng(21)
     model = init_model(toy_config(direction=direction, l2_lambda=1e-3), seed=5, tags=active)
     jitter(model, rng)
-    inputs = {"A": rng.normal(size=(4, 3)), "B": rng.normal(size=(4, 2))}
+    inputs = loss_inputs(model, {"A": rng.normal(size=(4, 3)), "B": rng.normal(size=(4, 2))}, active)
     targets = rng.uniform(0, 1, size=(4, 5))
     loss, fresh = model.loss_and_grad(inputs, targets, active)
     out = ParamBuffer(param_shapes(model.config))
@@ -726,7 +756,7 @@ def test_weight_slice_with_a_modality_tagged_w(direction):
     model.params["head.W.b1"][...] = 7.0
     if direction == V_TO_S:
         model.params["vmap.b1"][...] = 7.0
-    inputs = {"W": np.ones((2, 3)), "b": np.ones((2, 2))}
+    inputs = loss_inputs(model, {"W": np.ones((2, 3)), "b": np.ones((2, 2))}, ("W", "b"))
     loss, grads = model.loss_and_grad(inputs, np.zeros((2, 5)), ("W", "b"))
     assert loss == 0.0
     assert not grads.flat.any()
@@ -743,7 +773,7 @@ def test_l2_penalty_equals_the_per_array_sum(direction, active):
     for name, p in model.params.items():
         if name.rsplit(".", 1)[1].startswith("b"):
             p[...] = 0.0
-    inputs = {"A": np.zeros((3, 3)), "B": np.zeros((3, 2))}
+    inputs = loss_inputs(model, {"A": np.zeros((3, 3)), "B": np.zeros((3, 2))}, active)
     # every weight for s2v; for v2s the visual map's alone, as its heads are fixed
     reference = sum(
         float(np.sum(model.params[name] ** 2))
@@ -765,6 +795,8 @@ for direction in (S_TO_V, V_TO_S):
     assert model.weights.stop > 20_000
     # zero inputs, targets and biases: the loss is the penalty alone
     inputs = {"A": np.zeros((2, 300))}
+    if direction == V_TO_S:  # a v2s loss takes the fused rows
+        inputs = model.embed(inputs, ("A",))
     sys.stdout.write(model.loss(inputs, np.zeros((2, 256)), ("A",)).hex())
 """
 

@@ -260,8 +260,8 @@ def test_adam_stays_within_1e_10_of_textbook_adam_over_2000_steps():
 
 
 def class_rows(ds, tags, idx):
-    """The batch ``train`` documents for samples ``idx``: one semantic row per
-    distinct class, in class order, and each sample's row among them."""
+    """The s2v batch ``train`` documents for samples ``idx``: one semantic row
+    per distinct class, in class order, and each sample's row among them."""
     ids = np.unique(ds.visual.labels[idx])
     rows = np.searchsorted(ids, ds.visual.labels[idx])
     return {t: ds.table(t).matrix(ids) for t in tags}, rows
@@ -304,6 +304,9 @@ def test_untrained_parameters_stay_bitwise_equal(direction, optimizer):
     ref = init_model(net, cfg.seed, ("A",))
     fresh = init_model(net, cfg.seed, ("A",))
     opt = (Adam if optimizer == "adam" else SgdMomentum)(ref.params, cfg.lr)
+    if direction == V_TO_S:  # fixed targets: every seen class is fused once, as train does
+        ids = np.unique(ds.visual.labels)
+        fused = ref.embed({"A": ds.table("A").matrix(ids)}, ("A",))
     n = ds.visual.rows
     order_rng = np.random.default_rng(cfg.seed)
     losses = []
@@ -312,7 +315,10 @@ def test_untrained_parameters_stay_bitwise_equal(direction, optimizer):
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch, rows = class_rows(ds, ("A",), idx)
+            if direction == V_TO_S:
+                batch, rows = fused, np.searchsorted(ids, ds.visual.labels[idx])
+            else:
+                batch, rows = class_rows(ds, ("A",), idx)
             loss, grads = ref.loss_and_grad(batch, ds.visual.values[idx], ("A",), rows=rows)
             opt.step(grads.flat)
             total += loss * idx.size
@@ -356,6 +362,7 @@ def test_train_matches_per_sample_semantic_rows():
 
 @pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
 def test_train_runs_the_heads_once_per_class_of_a_batch(monkeypatch, direction):
+    # s2v: once per batch, on at most its distinct classes; v2s: once per run, on every seen class
     ds = generate(SynthConfig(n_classes=8, n_seen=6, samples_per_class=10, seed=2))
     cfg = TrainConfig(lr=1e-3, batch_size=16, epochs=2, seed=3)
     net = NetConfig(ds.modality_dims(), head_hidden=4, head_out=3, embed_dim=ds.visual.dim,
@@ -380,12 +387,16 @@ def test_train_runs_the_heads_once_per_class_of_a_batch(monkeypatch, direction):
     assert max(distinct) < cfg.batch_size  # so a per-sample forward would show
     for tag in net.tags:
         rows = [n for t, n in seen if t == tag]
-        assert len(rows) == len(distinct)
-        assert all(n <= d for n, d in zip(rows, distinct)), (tag, rows, distinct)
+        if direction == V_TO_S:
+            assert rows == [len(ds.seen)], (tag, rows)
+        else:
+            assert len(rows) == len(distinct)
+            assert all(n <= d for n, d in zip(rows, distinct)), (tag, rows, distinct)
 
 
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
 @pytest.mark.parametrize("batch_size", [3, 4, 8])
-def test_train_calls_loss_and_grad_once_per_batch(monkeypatch, batch_size):
+def test_train_calls_loss_and_grad_once_per_batch(monkeypatch, batch_size, direction):
     # the benchmark's traced training times each step through this one method
     ds = tiny_dataset()
     cfg = TrainConfig(lr=1e-3, batch_size=batch_size, epochs=3, seed=2)
@@ -397,9 +408,40 @@ def test_train_calls_loss_and_grad_once_per_batch(monkeypatch, batch_size):
         return loss_and_grad(model, inputs, targets, *args, **kwargs)
 
     monkeypatch.setattr(network.EmbeddingModel, "loss_and_grad", counting)
-    train(ds, tiny_net(), cfg, ("A", "B"))
+    train(ds, tiny_net(direction), cfg, ("A", "B"))
     batches = [min(batch_size, ds.visual.rows - start) for start in range(0, ds.visual.rows, batch_size)]
     assert calls == batches * cfg.epochs
+
+
+def test_v2s_fuse_once_equals_fusing_each_batch_bitwise():
+    """``train`` fuses the seen-class table once; fusing each batch's distinct
+    classes at every step gives the same bytes while every batch holds at
+    least 2 classes (a 1-class batch runs its heads as a matrix-vector product)."""
+    ds = generate(SynthConfig(seed=2))
+    net = NetConfig(ds.modality_dims(), head_hidden=32, head_out=48, embed_dim=ds.visual.dim,
+                    direction=V_TO_S)
+    cfg = TrainConfig(lr=3e-3, batch_size=64, epochs=3, seed=7)
+    model, history = train(ds, net, cfg, net.tags)
+
+    ref = init_model(net, cfg.seed)
+    opt = Adam(ref.params, cfg.lr)
+    n = ds.visual.rows
+    order_rng = np.random.default_rng(cfg.seed)
+    losses = []
+    for _ in range(cfg.epochs):
+        order = order_rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            batch, rows = class_rows(ds, net.tags, idx)
+            assert rows.max() >= 1, start  # at least 2 classes
+            fused = ref.embed(batch, net.tags)  # the batch's classes, fused at this step
+            loss, grads = ref.loss_and_grad(fused, ds.visual.values[idx], net.tags, rows=rows)
+            opt.step(grads.flat)
+            total += loss * idx.size
+        losses.append(total / n)
+    assert history.losses == losses
+    assert model.params.flat.tobytes() == ref.params.flat.tobytes()
 
 
 def test_history_lengths_match_epochs():
