@@ -1,7 +1,10 @@
 """Nearest-prototype classification of unseen classes and the ablation grid.
 
-Each test sample is assigned the class whose embedded prototype is
-nearest under the chosen metric; ties break toward the lowest class id.
+Both directions score alike: test sample ``i`` is query row ``i`` of
+``map_visual`` (its features as given for s2v, mapped for v2s), and it is
+assigned the class whose ``embed`` prototype (``fuse`` checks the class's
+modality rows against each other) is nearest under the chosen metric;
+ties break toward the lowest class id.
 ``ablate`` trains one model per (modality subset, direction) and scores
 it under every metric; by default the grid is every subset of the net's
 modalities x both directions x (ec:0.9, euclidean), and a repeated entry
@@ -23,7 +26,7 @@ import numpy as np
 
 from .data import Dataset
 from .metric import MetricKind, check_finite_distances, pairwise_distances, top_k_classes
-from .network import DIRECTIONS, EmbeddingModel, NetConfig, S_TO_V
+from .network import DIRECTIONS, EmbeddingModel, NetConfig
 from .training import TrainConfig, train
 
 REPORT_HEADER = "modalities,direction,metric,top1,top5"
@@ -63,15 +66,7 @@ def _scoring_inputs(
     tags = model.config.check_active(active)
     ids = sorted(dataset.unseen)
     prototypes = model.embed({t: dataset.table(t).matrix(ids) for t in tags}, tags)
-    if model.direction == S_TO_V:
-        queries = dataset.test_visual.values
-        if queries.shape[1] != model.config.embed_dim:
-            raise ValueError(
-                f"test feature dim {queries.shape[1]} does not match "
-                f"model embed_dim {model.config.embed_dim}"
-            )
-    else:
-        queries = model.map_visual(dataset.test_visual.values)
+    queries = model.map_visual(dataset.test_visual.values)
     bad = ~np.isfinite(prototypes).all(axis=1)
     if bad.any():
         raise ValueError(

@@ -17,15 +17,17 @@ Two directions are supported:
   trained jointly, both sides fell to the loss's constant minimum).
 
 A model holds only the heads of the modalities it is trained on, and a
-v2s model has no shared layer. Inputs are batch matrices. The semantic
-side is per class, so a training batch gives the loss one row per
-distinct class of the batch and maps each sample to its class's row
-(``rows``). For s2v those are the modality inputs: the heads and the
-shared layer run once per class, and each sample's residual gradient is
-summed per class before it enters them. For v2s they are the fused class
-rows themselves (``embed``'s output): the targets are fixed, so no head
-runs inside the loss, and a training run fuses its seen-class table once.
-Without ``rows`` each input row belongs to one sample.
+v2s model has no shared layer. Inputs are batch matrices, under three
+rules. The loss pairs target ``i`` with input row ``rows[i]``, and without
+``rows`` input row ``i`` belongs to target ``i`` (identity rows). ``fuse``
+checks its inputs against each other alone. ``map_visual`` is where visual
+features meet the prototypes: as given for s2v, mapped for v2s. A training
+batch gives the loss one row per distinct class of the batch. For s2v
+those are the modality inputs: the heads and the shared layer run once per
+class, and each sample's residual gradient is summed per class before it
+enters them. For v2s they are the fused class rows themselves (``embed``'s
+output): the targets are fixed, so no head runs inside the loss, and a
+training run fuses its seen-class table once.
 
 Every branch (each head, the shared layer, the visual map) is a
 ``ReluStack``, the one dense-ReLU primitive: a stack of dense-ReLU
@@ -186,17 +188,6 @@ def _as_rows(rows, m: int, k: int) -> np.ndarray:
     return rows
 
 
-def _per_class(d: np.ndarray, rows: np.ndarray | None, k: int, scale: float) -> np.ndarray:
-    """``scale * d`` with its sample rows summed into ``k`` class rows: row
-    ``c`` adds every row ``i`` with ``rows[i] == c``, in one (k x m) GEMM
-    with a scaled one-hot matrix. Without ``rows``, ``scale * d`` itself."""
-    if rows is None:
-        return scale * d
-    onehot = np.zeros((k, rows.size))
-    onehot[rows, np.arange(rows.size)] = scale
-    return onehot @ d
-
-
 class ReluStack:
     """Dense-ReLU layers applied in order: ``a <- max(a @ W.T + b, 0)``.
 
@@ -254,16 +245,14 @@ class FusionNet:
         self.params = {name: p for name, p in params.items() if not name.startswith("vmap.")}
 
     def fuse(
-        self, inputs: Mapping[str, np.ndarray], tags: tuple[str, ...], n_targets: int | None = None
+        self, inputs: Mapping[str, np.ndarray], tags: tuple[str, ...]
     ) -> tuple[np.ndarray, list[list[np.ndarray]]]:
         """Sum of the heads' outputs over ``tags``, added in that (sorted)
         order, and each head's cache.
 
-        Each input must have its modality's dim and ``n_targets`` rows if
-        given, else as many rows as the first input.
+        Each input must have its modality's dim and as many rows as the first.
         """
         dims = self.config.modality_dims
-        rows, first = n_targets, None  # first: the modality that set rows, if not n_targets
         fused, caches = None, []
         for tag in tags:
             if tag not in inputs:
@@ -271,11 +260,8 @@ class FusionNet:
             y = _as_batch(inputs[tag], f"modality {tag}")
             if y.shape[1] != dims[tag]:
                 raise ValueError(f"modality {tag}: expected dim {dims[tag]}, got {y.shape[1]}")
-            if rows is None:
-                rows, first = y.shape[0], tag
-            elif y.shape[0] != rows:
-                of = f"{rows} targets" if first is None else f"{rows} rows of modality {first}"
-                raise ValueError(f"modality {tag}: {y.shape[0]} rows for {of}")
+            if fused is not None and y.shape[0] != fused.shape[0]:
+                raise ValueError(f"modality {tag}: {y.shape[0]} rows for {fused.shape[0]} rows of modality {tags[0]}")
             a, acts = self.heads[tag].forward(y)
             caches.append(acts)
             if fused is None:
@@ -305,7 +291,6 @@ class EmbeddingModel:
         self.weights = slice(sum(sizes) - sizes[-1] if "vmap" in stacks else 0, sum(sizes))
         self.fusion = FusionNet(config, self.params)
         self.visual_map = ReluStack(self.params, stacks["vmap"]) if "vmap" in stacks else None
-        self.top = self.fusion.out or self.visual_map
 
     @property
     def direction(self) -> str:
@@ -319,13 +304,18 @@ class EmbeddingModel:
         fused, _ = self.fusion.fuse(inputs, self.config.check_active(active))
         return fused if self.fusion.out is None else self.fusion.out.forward(fused)[0]
 
+    def _visual(self, x, what: str) -> np.ndarray:
+        """``x`` as a batch of visual features, checked to be ``embed_dim`` wide."""
+        x = _as_batch(x, what)
+        if x.shape[1] != self.config.embed_dim:
+            raise ValueError(f"{what}: dim {x.shape[1]} does not match embed_dim {self.config.embed_dim}")
+        return x
+
     def map_visual(self, x) -> np.ndarray:
-        if self.visual_map is None:
-            raise ValueError("model has no visual mapping branch (direction s2v)")
-        batch = _as_batch(x, "visual features")
-        if batch.shape[1] != self.config.embed_dim:
-            raise ValueError(f"expected visual dim {self.config.embed_dim}, got {batch.shape[1]}")
-        return self.visual_map.forward(batch)[0]
+        """Visual features where they meet ``embed``'s prototypes: as given for
+        s2v (a float64 matrix is not copied), the visual map's output for v2s."""
+        x = self._visual(x, "visual features")
+        return x if self.visual_map is None else self.visual_map.forward(x)[0]
 
     def loss(
         self, inputs: Mapping[str, np.ndarray] | np.ndarray, targets, active: Iterable[str], rows=None
@@ -336,36 +326,32 @@ class EmbeddingModel:
     def _forward(self, inputs: Mapping[str, np.ndarray] | np.ndarray, targets, active: Iterable[str], rows):
         """The loss and what the backward pass needs: every head stack's cache
         (None for v2s), the top stack's cache, the residual, the batch size and
-        the checked ``rows``."""
+        the checked ``rows`` (identity rows if none are given)."""
         tags = self.config.check_active(active)
         if tags != self.config.tags:
             raise ValueError(f"active must name exactly the model's heads {list(self.config.tags)}")
-        x = _as_batch(targets, "targets")
+        x = self._visual(targets, "targets")
         m = x.shape[0]
         if m == 0:
             raise ValueError("empty batch")
-        if x.shape[1] != self.config.embed_dim:
-            raise ValueError(
-                f"target dim {x.shape[1]} does not match embed_dim {self.config.embed_dim}"
-            )
         if self.direction == S_TO_V:
-            fused, head_caches = self.fusion.fuse(inputs, tags, m if rows is None else None)
+            fused, head_caches = self.fusion.fuse(inputs, tags)
         else:  # the fused rows are the fixed targets: no head runs
             if isinstance(inputs, Mapping):
                 raise ValueError("fused rows: a v2s loss takes embed's fused rows, not modality inputs")
             fused, head_caches = _as_batch(inputs, "fused rows"), None
             if fused.shape[1] != self.config.head_out:
                 raise ValueError(f"fused rows: expected width {self.config.head_out}, got {fused.shape[1]}")
-            if rows is None and fused.shape[0] != m:
-                raise ValueError(f"fused rows: {fused.shape[0]} rows for {m} targets")
-        if rows is not None:
-            rows = _as_rows(rows, m, fused.shape[0])
+        if rows is None and fused.shape[0] != m:
+            of = f"modality {tags[0]}" if self.direction == S_TO_V else "fused rows"
+            raise ValueError(f"{of}: {fused.shape[0]} rows for {m} targets")
+        rows = np.arange(m) if rows is None else _as_rows(rows, m, fused.shape[0])  # none: identity rows
         if self.direction == S_TO_V:
-            embedded, acts = self.top.forward(fused)
-            residual = (embedded if rows is None else embedded[rows]) - x
+            embedded, acts = self.fusion.out.forward(fused)
+            residual = embedded[rows] - x
         else:
-            mapped, acts = self.top.forward(x)
-            residual = mapped - (fused if rows is None else fused[rows])
+            mapped, acts = self.visual_map.forward(x)
+            residual = mapped - fused[rows]
         w = self.params.flat[self.weights]
         mse = float(np.add.reduce(residual * residual, axis=None)) / m
         return mse + self.config.l2_lambda * float(_dot(w, w)), head_caches, acts, residual, m, rows
@@ -385,12 +371,12 @@ class EmbeddingModel:
         modality to its semantic rows. For v2s it is the matrix of fused
         class rows that ``embed`` returns for the model's heads, ``head_out``
         wide: they are fixed targets, so no head runs here and each head
-        entry of the gradient is 0. Without ``rows`` every input holds one
-        row per sample. With ``rows``, every input holds the same k class
-        rows and target ``i`` pairs with input row ``rows[i]``, an integer
-        in [0, k): for s2v the heads and the shared layer run on the k class
-        rows, and each sample's residual gradient is summed per class before
-        it enters them. The v2s visual map runs per sample.
+        entry of the gradient is 0. With ``rows``, every input holds the same
+        k class rows and target ``i`` pairs with input row ``rows[i]``, an
+        integer in [0, k): for s2v the heads and the shared layer run on the
+        k class rows, and each sample's residual gradient is summed per class
+        before it enters them. The v2s visual map runs per sample. Without
+        ``rows`` input row ``i`` belongs to target ``i``, as identity rows.
 
         The L2 term covers the trained weights (``weights``), not the biases, so
         the returned gradients are exact partials of the returned loss. They are
@@ -400,13 +386,15 @@ class EmbeddingModel:
         loss, head_caches, acts, residual, m, rows = self._forward(inputs, targets, active, rows)
         grads = ParamBuffer(param_shapes(self.config)) if out is None else out
         if self.direction == S_TO_V:
-            d_top = _per_class(residual, rows, head_caches[0][0].shape[0], 2.0 / m)
-            d_fused = self.top.backward(acts, d_top, grads, input_grad=True)
+            # (2 / m) * residual with row i added into class row rows[i]: one GEMM with a one-hot matrix
+            onehot = np.zeros((head_caches[0][0].shape[0], m))
+            onehot[rows, np.arange(m)] = 2.0 / m
+            d_fused = self.fusion.out.backward(acts, onehot @ residual, grads, input_grad=True)
             for head, head_acts in zip(self.fusion.heads.values(), head_caches):
                 head.backward(head_acts, d_fused, grads)
         else:  # the fused targets are fixed: the heads' entries are 0
             grads.flat.fill(0.0)
-            self.top.backward(acts, (2.0 / m) * residual, grads)
+            self.visual_map.backward(acts, (2.0 / m) * residual, grads)
 
         lam = self.config.l2_lambda
         if lam != 0.0:  # in blocks, so no weight-sized temporary is allocated

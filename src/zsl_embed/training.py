@@ -5,20 +5,24 @@ vectors. Every epoch the samples are reshuffled (seeded), split into
 mini-batches (the last batch may be short), and one optimizer step is
 taken per batch. For s2v a batch's semantic inputs hold one row per
 distinct class of the batch, in class order, and each sample names its
-class's row (``rows`` of ``EmbeddingModel.loss_and_grad``), so the
-semantic branch runs once per class and not once per sample. v2s
-regresses onto fixed fused class rows, so a run fuses its seen-class
-table once and each sample names its class's row of it. Checkpoints written
-by versions that ran it per sample are not byte-equal to new ones (the
-sums differ in their last bits); reruns and ``ablate --jobs`` settings
-stay byte-identical to one another. Every step runs at the one ``lr``
-set; Adam uses ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPSILON``, the
-defaults of Kingma and Ba, and SGD uses ``SGD_MOMENTUM``. Adam keeps its
-moments scaled by ``1 / (1 - beta)``, which folds the bias corrections
-and ``lr`` into two scalars per step; its updates differ from Kingma and
-Ba's form only in rounding, so checkpoints trained by versions that kept
-the moments unscaled are not byte-equal to new ones either. Older v2s
-checkpoints still load and score but hold jointly trained heads.
+class's row (``rows`` of ``EmbeddingModel.loss_and_grad``; without it,
+input row ``i`` would be target ``i``'s), so the semantic branch runs
+once per class and not once per sample. v2s regresses onto fixed fused
+class rows, so a run fuses its seen-class table once and each sample
+names its class's row of it. Checkpoints written by versions that ran it
+per sample are not byte-equal to new ones (the sums differ in their last
+bits); reruns and ``ablate --jobs`` settings stay byte-identical. ``fuse``
+checks the semantic inputs against each other; the loss checks the
+targets' width as ``map_visual`` checks the features it scores, so a
+dataset not ``embed_dim`` wide fails at the first step. Every step runs at
+the one ``lr`` set; Adam uses ``ADAM_BETA1``, ``ADAM_BETA2`` and
+``ADAM_EPSILON``, the defaults of Kingma and Ba, and SGD uses
+``SGD_MOMENTUM``. Adam keeps its moments scaled by ``1 / (1 - beta)``,
+which folds the bias corrections and ``lr`` into two scalars per step;
+its updates differ from Kingma and Ba's form only in rounding, so
+checkpoints trained by versions that kept the moments unscaled are not
+byte-equal to new ones either. Older v2s checkpoints still load and
+score but hold jointly trained heads.
 
 Checkpoints are a single binary file: magic ``ZSLC``, u32 LE version,
 a length-prefixed ``key = value`` text block holding the architecture
@@ -174,11 +178,6 @@ def train(
     learning rate makes training diverge.
     """
     tags = net_config.check_active(active)
-    if net_config.embed_dim != dataset.visual.dim:
-        raise ValueError(
-            f"embed_dim {net_config.embed_dim} does not match "
-            f"visual feature dim {dataset.visual.dim}"
-        )
     model = init_model(net_config, train_config.seed, tags)
     history = TrainHistory(train_config.lr)
     n = dataset.visual.rows
@@ -247,6 +246,9 @@ def _decode_config(blob: bytes) -> NetConfig:
     """
     try:
         pairs = [line.split(" = ", 1) for line in blob.decode("utf-8").splitlines()]
+        for i, pair in enumerate(pairs, 1):
+            if len(pair) != 2:
+                raise ValueError(f"line {i} {pair[0]!r} is not 'key = value'")
         values = dict(pairs)
         kinds = {f.name: type(f.default) for f in dataclasses.fields(NetConfig)}
         kinds.update(modality_dims=parse_modality_dims, embed_dim=int)

@@ -1,10 +1,19 @@
 """The benchmark's own self-test, run with the suite.
 
-``bench/`` calls and patches names inside ``zsl_embed`` (for instance
-``evaluation.prediction_distances``, ``evaluation._run_cell``,
-``SgdMomentum.step`` and the ``out.b3`` parameter). A change to the
-package that removes or renames one of them fails here, not first in a
-benchmark run.
+``bench/`` calls, reads and patches names inside ``zsl_embed``. A change to
+the package that removes or renames one of them, or changes how it is
+called, fails here, not first in a benchmark run. The pinned names and
+calling conventions are:
+
+- ``EmbeddingModel.loss_and_grad(inputs, targets, active)`` and ``loss``,
+  both called without ``rows``, plus ``embed`` and ``map_visual``;
+- ``model.fusion.params`` including ``out.b3``, ``model.visual_map.params``
+  and ``model.config``;
+- ``Adam.params`` as a mapping, ``Adam.step`` and ``SgdMomentum.step``;
+- ``TrainConfig(optimizer=...)`` and ``TrainHistory.losses``;
+- ``prediction_distances``, ``hubness_skewness(dist, k)``, ``_run_cell``
+  and ``ModalitySpec``;
+- the CLI ``ablate`` keys ``train.optimizer`` and ``net.l2_lambda``.
 """
 
 import subprocess

@@ -270,10 +270,14 @@ def test_visual_map_zero_weights():
     np.testing.assert_array_equal(model.map_visual(np.ones((2, 5))), np.zeros((2, 3)))
 
 
-def test_map_visual_requires_v2s():
-    model = init_model(toy_config(), seed=0)
-    with pytest.raises(ValueError, match="s2v"):
-        model.map_visual(np.ones((1, 5)))
+def test_map_visual_passes_s2v_features_through():
+    # s2v features meet the prototypes as given: a float64 matrix is the query matrix itself, not a copy
+    x = np.ones((3, 5))
+    assert init_model(toy_config(S_TO_V), seed=0).map_visual(x) is x
+    for direction in (S_TO_V, V_TO_S):
+        model = init_model(toy_config(direction), seed=0)
+        with pytest.raises(ValueError, match=r"^visual features: dim 4 does not match embed_dim 5$"):
+            model.map_visual(np.ones((3, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +436,17 @@ def test_training_a_proper_subset_of_the_heads_raises(direction):
     [
         ({"active": ("A",)}, "active must name exactly the model's heads ['A', 'B']"),
         ({"inputs": {"A": np.ones((2, 4)), "B": np.ones((2, 2))}}, "modality A: expected dim 3, got 4"),
-        # v2s fuses the modality inputs in embed, which checks them against one another
-        ({"inputs": {"A": np.ones((2, 3)), "B": np.ones((1, 2))}},
-         {S_TO_V: "modality B: 1 rows for 2 targets", V_TO_S: "modality B: 1 rows for 2 rows of modality A"}),
+        # fuse checks the modality inputs against one another (for v2s inside embed) ...
+        ({"inputs": {"A": np.ones((2, 3)), "B": np.ones((1, 2))}}, "modality B: 1 rows for 2 rows of modality A"),
+        # ... and the loss checks the rows they agree on against the targets
+        ({"inputs": {"A": np.ones((1, 3)), "B": np.ones((1, 2))}},
+         {S_TO_V: "modality A: 1 rows for 2 targets", V_TO_S: "fused rows: 1 rows for 2 targets"}),
         ({"rows": np.array([True, False])}, "rows[0] = True is not an integer class-row index (dtype bool)"),
         ({"rows": np.array([0, 2])}, "rows[1] = 2 is outside [0, 2), the inputs' class rows"),
         ({"targets": np.ones((0, 5))}, "empty batch"),
     ],
-    ids=["inactive tags", "modality dim", "row count", "bool rows", "rows out of range", "empty batch"],
+    ids=["inactive tags", "modality dim", "row count", "rows for targets", "bool rows", "rows out of range",
+         "empty batch"],
 )
 @pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
 def test_loss_and_grad_input_errors_keep_their_messages(direction, call, message):
@@ -566,7 +573,8 @@ def per_head_embed(model, inputs, tags):
 @pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
 @pytest.mark.parametrize("n_heads", [1, 2, 3, 4])
 def test_head_bank_matches_per_head_heads_bitwise(n_heads, direction, class_rows):
-    # the model's bank of heads (one ReluStack each) against an oracle written apart from it
+    # the model's heads (one ReluStack each) against an oracle written apart from it; its rows=None
+    # cases compare bytes with an oracle that scales the residual itself, so identity rows change no bit
     rng = np.random.default_rng(zlib.crc32(f"{n_heads}|{direction}|{class_rows}".encode()))
     dims = {"C": 7, "I": 5, "T": 9, "W": 3}
     config = NetConfig(dims, embed_dim=6, head_hidden=8, head_out=5, direction=direction, l2_lambda=1e-3)

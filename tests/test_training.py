@@ -641,6 +641,8 @@ SIZE_MESSAGE = r"corrupted payload \(\d+ parameter bytes, the config needs \d+\)
                      r"config block: keys \[.*'shuffle'", id="extra-config-key"),
         pytest.param(lambda b: with_config(b, b"\nl2_lambda = 0.0005", b""),
                      r"config block: keys \[.*'head_out', 'modality_dims'\]", id="missing-config-key"),
+        pytest.param(lambda b: with_config(b, b"head_out = 3", b"head_out 3"),
+                     r"config block: line 4 'head_out 3' is not 'key = value'\)$", id="malformed-config-line"),
         pytest.param(lambda b: with_config(b, b"embed_dim = 4", b"embed_dim = four"),
                      r"config block: invalid literal for int\(\) with base 10: 'four'", id="non-integer-embed-dim"),
         pytest.param(lambda b: with_config(b, b"modality_dims = A:3", b"modality_dims = A,X:3"),
