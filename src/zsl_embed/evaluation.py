@@ -4,7 +4,9 @@ Both directions score alike: test sample ``i`` is query row ``i`` of
 ``map_visual`` (its features as given for s2v, mapped for v2s), and it is
 assigned the class whose ``embed`` prototype (``fuse`` checks the class's
 modality rows against each other) is nearest under the chosen metric;
-ties break toward the lowest class id.
+ties break toward the lowest class id. With no test samples (or, for
+``hubness_skewness``, no query rows) scoring raises: no figure is made
+from no queries.
 ``ablate`` trains one model per (modality subset, direction) and scores
 it under every metric; by default the grid is every subset of the net's
 modalities x both directions x (ec:0.9, euclidean), and a repeated entry
@@ -60,9 +62,11 @@ def _scoring_inputs(
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Queries (test samples), prototypes (unseen classes) and the class order.
 
-    Raises ValueError naming the class or the test row if any of them is
-    not finite, as a diverged model's would be.
+    Raises ValueError if there are no test samples, and names the class or
+    the test row if any of them is not finite, as a diverged model's would be.
     """
+    if dataset.test_visual.rows == 0:
+        raise ValueError("no test samples")
     tags = model.config.check_active(active)
     ids = sorted(dataset.unseen)
     prototypes = model.embed({t: dataset.table(t).matrix(ids) for t in tags}, tags)
@@ -87,15 +91,13 @@ def prediction_distances(
 ) -> tuple[np.ndarray, list[int]]:
     """Distance matrix (test samples x unseen classes) and its class order.
 
-    Raises ValueError naming the first distance that is not finite, as
-    ``evaluate`` does.
+    Raises ValueError if there are no test samples, and names the first
+    distance that is not finite, as ``evaluate`` does.
     """
     queries, prototypes, ids = _scoring_inputs(model, dataset, active)
     dist = pairwise_distances(queries, prototypes, metric)
-    bad = ~np.isfinite(dist)
-    if bad.any():
-        row, col = np.unravel_index(int(np.argmax(bad)), dist.shape)
-        check_finite_distances(dist[row, col : col + 1], metric, [row], [col])
+    rows, cols = np.nonzero(~np.isfinite(dist))
+    check_finite_distances(dist[rows, cols], metric, rows, cols)
     return dist, ids
 
 
@@ -107,11 +109,10 @@ def evaluate(
 ) -> EvalResult:
     """Score the model on the dataset's unseen classes.
 
-    Raises ValueError if ``active`` names a modality the model has no
-    head for, or if a query, a prototype or a distance is not finite.
+    Raises ValueError if there are no test samples, if ``active`` names a
+    modality the model has no head for, or if a query, a prototype or a
+    distance is not finite.
     """
-    if dataset.test_visual.rows == 0:
-        raise ValueError("no test samples")
     queries, prototypes, ids = _scoring_inputs(model, dataset, active)
     true_idx = np.searchsorted(ids, dataset.test_visual.labels)
 
@@ -136,7 +137,8 @@ def hubness_skewness(dist_matrix: np.ndarray, k: int) -> float:
 
     ``N_k(c)`` counts queries that rank class ``c`` among their k nearest;
     a long right tail (a few classes hoarding neighbors) gives a large
-    positive value. Uniform counts give 0.0.
+    positive value. Uniform counts give 0.0; a matrix with no query rows
+    is rejected rather than scored as hub-free.
     """
     dist = np.asarray(dist_matrix, dtype=np.float64)
     if dist.ndim != 2:
@@ -144,6 +146,8 @@ def hubness_skewness(dist_matrix: np.ndarray, k: int) -> float:
     n_classes = dist.shape[1]
     if n_classes < 2:
         raise ValueError("skewness needs at least 2 classes")
+    if dist.shape[0] == 0:
+        raise ValueError("skewness needs at least one query")
     if not 1 <= k <= n_classes:
         raise ValueError(f"k must be in [1, {n_classes}], got {k}")
     if not np.isfinite(dist).all():

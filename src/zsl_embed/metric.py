@@ -7,11 +7,11 @@ nearest class relative to plain Euclidean ranking. All distances are
 computed in double precision, each exact sum as one BLAS dot per pair
 (``_dot``), so that a per-pair evaluation reproduces them bit for bit.
 
-One exact core (``_sums`` and ``_finish``) computes every exact distance.
-``pairwise_distances`` streams each prototype through cache-sized blocks
-of query rows with it. ``top_k_classes`` screens a block of queries at a
-time with one GEMM and rounding-error bounds, and uses the core only for
-rows whose ranks the bounds cannot settle.
+``pairwise_distances`` computes every exact distance: it streams each
+prototype through cache-sized blocks of query rows. ``top_k_classes``
+screens a block of queries at a time with one GEMM and rounding-error
+bounds, and calls ``pairwise_distances`` only for rows whose ranks the
+bounds cannot settle, on each such row's candidates.
 """
 
 from __future__ import annotations
@@ -119,9 +119,10 @@ def metric_distance(a, b, metric: MetricKind) -> float:
     return ec_distance(a, b, metric.eta)
 
 
-# bytes of one block of query rows (or of a block's distances, when
-# ranking), and of the scratch the exact core reuses within it: the
-# fastest of 64 KiB to 2 MiB for 1000 x 50 x 2048 on a core with 2 MiB of L2
+# most bytes of one block of query rows, and of the scratch that
+# ``pairwise_distances`` reuses within it (or of a block's distances, when
+# ranking): the fastest of 64 KiB to 2 MiB for 1000 x 50 x 2048 on a core
+# with 2 MiB of L2
 _BLOCK_BYTES = 512 << 10
 
 
@@ -142,20 +143,6 @@ def _rows_per_block(row_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // max(row_bytes, 1))
 
 
-def _sums(x, y, buf, eucsq, dots, metric: MetricKind) -> None:
-    """The exact core: ``eucsq[i] = sum((x[i] - y[i])**2)`` and
-    ``dots[i] = sum(x[i] * y[i])``, each written only if ``metric`` uses it.
-
-    ``y`` is one row, broadcast against every row of ``x``, or as many
-    rows as ``x``; ``buf`` is a scratch of ``x``'s shape. Each sum is
-    ``_dot`` of one pair of rows, as ``metric_distance`` sums one pair.
-    """
-    if metric.kind != "cosine":
-        _dot(np.subtract(x, y, out=buf), buf, out=eucsq)
-    if metric.kind != "euclidean":
-        _dot(x, y, out=dots)
-
-
 def _cosine(dots, qn, pn) -> tuple[np.ndarray, np.ndarray]:
     """Cosines from dot products and the norms of both sides, which
     broadcast to the shape of ``dots``, and the products of those norms.
@@ -166,40 +153,34 @@ def _cosine(dots, qn, pn) -> tuple[np.ndarray, np.ndarray]:
     return cos, denom
 
 
-def _finish(eucsq, dots, qn, pn, metric: MetricKind) -> np.ndarray:
-    """Distances from the sums of ``_sums`` and the norms of both sides,
-    elementwise; ``qn`` and ``pn`` broadcast to the shape of the sums."""
-    if metric.kind == "euclidean":
-        return eucsq
-    cos, _ = _cosine(dots, qn, pn)
-    if metric.kind == "cosine":
-        return 1.0 - cos
-    return (1.0 - metric.eta * cos) * eucsq
-
-
 def pairwise_distances(queries, prototypes, metric: MetricKind) -> np.ndarray:
     """Distance matrix (queries x prototypes) under the selected metric.
 
     Entry (i, c) equals ``metric_distance(queries[i], prototypes[c],
     metric)`` exactly: both sum each pair with ``_dot``, never with a GEMM,
     whose blocking rounds each entry its own way. Each prototype is scored
-    against one block of ``_BLOCK_BYTES`` of query rows at a time, into one
-    scratch block allocated per call; cos, its clip and the EC weight are
-    then applied once over the whole matrix.
+    against one block of query rows at a time, into one scratch block per
+    call, sized to the query rows and at most ``_BLOCK_BYTES``; cos, its
+    clip and the EC weight are then applied once over the whole matrix.
     """
     q, p = _as_matrices(queries, prototypes)
-    buf = np.empty((_rows_per_block(8 * q.shape[1]), q.shape[1]))
+    buf = np.empty((min(max(len(q), 1), _rows_per_block(8 * q.shape[1])), q.shape[1]))
     # prototype-major, so each block's sums land in one contiguous run
     eucsq, dots = np.empty((2, p.shape[0], q.shape[0]))
     # finite inputs whose squares overflow score inf or NaN, which the callers reject
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, q.shape[0], len(buf)):
             block = q[lo : lo + len(buf)]
-            hi = lo + len(block)
+            diff, hi = buf[: len(block)], lo + len(block)
             for c, proto in enumerate(p):
-                _sums(block, proto, buf[: len(block)], eucsq[c, lo:hi], dots[c, lo:hi], metric)
-        qn, pn = np.sqrt(_dot(q, q)), np.sqrt(_dot(p, p))
-        dist = _finish(eucsq, dots, qn[None, :], pn[:, None], metric)
+                if metric.kind != "cosine":
+                    _dot(np.subtract(block, proto, out=diff), diff, out=eucsq[c, lo:hi])
+                if metric.kind != "euclidean":
+                    _dot(block, proto, out=dots[c, lo:hi])
+        dist = eucsq
+        if metric.kind != "euclidean":
+            cos, _ = _cosine(dots, np.sqrt(_dot(q, q)), np.sqrt(_dot(p, p))[:, None])
+            dist = 1.0 - cos if metric.kind == "cosine" else (1.0 - metric.eta * cos) * eucsq
     return np.ascontiguousarray(dist.T)
 
 
@@ -218,8 +199,8 @@ def check_finite_distances(scored: np.ndarray, metric: MetricKind, rows, cols) -
 def _screen(qsq, psq, dots, metric: MetricKind, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Distances from squared norms and BLAS dot products, with error bounds.
 
-    Each bound covers the distance of the exact core whatever order either
-    side sums in: 4(d + 4) eps (|q| + |p|)^2 for the squared Euclidean
+    Each bound covers the distance of ``pairwise_distances`` whatever order
+    either side sums in: 4(d + 4) eps (|q| + |p|)^2 for the squared Euclidean
     part, 8(d + 4) eps for the cosine (plus an underflow term each), and
     their composition for ``ec``: about four times the standard bound of a
     ``d``-term dot product on both sides, in any order, with or without FMA.
@@ -254,32 +235,30 @@ def top_k_classes(queries, prototypes, metric: MetricKind, k: int) -> np.ndarray
     memory grows with the queries only by the ranks returned. One GEMM of
     dot products bounds every distance of a block. A row whose screen
     leaves exactly k candidates with disjoint bounds is ranked by those
-    bounds alone; in the other rows, only prototypes whose lower bound
-    reaches the k-th smallest upper bound of their row are rescored with
-    the exact core of ``pairwise_distances``. Raises ValueError if an exact
-    distance it computes is not finite.
+    bounds alone; every other row is ranked by ``pairwise_distances`` of
+    its candidates, the prototypes whose lower bound reaches the k-th
+    smallest upper bound of the row. Raises ValueError if a candidate's
+    exact distance is not finite.
     """
     q, p = _as_matrices(queries, prototypes)
     if not 1 <= k <= p.shape[0]:
         raise ValueError(f"k must be in [1, {p.shape[0]}], got {k}")
     ranked = np.empty((q.shape[0], k), dtype=np.intp)
-    buf = np.empty((_rows_per_block(8 * q.shape[1]), q.shape[1]))
     step = _rows_per_block(8 * p.shape[0])
     # overflow and NaN are handled: such rows are rescored, and such distances raise
     with np.errstate(over="ignore", invalid="ignore"):
         psq = _dot(p, p)
         for lo in range(0, q.shape[0], step):
-            _rank_block(q[lo : lo + step], lo, p, psq, metric, buf, ranked[lo : lo + step])
+            _rank_block(q[lo : lo + step], lo, p, psq, metric, ranked[lo : lo + step])
     return ranked
 
 
-def _rank_block(q, first_row, p, psq, metric: MetricKind, buf, ranked) -> None:
+def _rank_block(q, first_row, p, psq, metric: MetricKind, ranked) -> None:
     """Write ``top_k_classes`` of the query rows ``q``, which start at row
     ``first_row`` of all queries, into ``ranked``; ``psq`` holds the
-    prototypes' squared norms and ``buf`` is the scratch of the exact core."""
+    prototypes' squared norms."""
     k = ranked.shape[1]
-    qsq = _dot(q, q)
-    approx, err = _screen(qsq, psq, q @ p.T, metric, q.shape[1])
+    approx, err = _screen(_dot(q, q), psq, q @ p.T, metric, q.shape[1])
     lower, upper = approx - err, approx + err
     kth = np.partition(upper, k - 1, axis=1)[:, k - 1 : k]
     candidate = lower <= kth
@@ -296,18 +275,12 @@ def _rank_block(q, first_row, p, psq, metric: MetricKind, buf, ranked) -> None:
     apart = (upper[few, cols[:, :-1]] < lower[few, cols[:, 1:]]).all(axis=1)
     settled = few[apart, 0]
     ranked[settled] = cols[apart]
-    # every other row: rescore its candidates exactly and sort them
-    rest = np.setdiff1d(np.arange(q.shape[0]), settled, assume_unique=True)
-    pos, cols = np.nonzero(candidate[rest])
-    rows = rest[pos]
-    qn, pn = np.sqrt(qsq), np.sqrt(psq)
-    exact = np.full((rest.size, p.shape[0]), np.inf)
-    eucsq, dots = np.empty((2, len(buf)))
-    for lo in range(0, rows.size, len(buf)):
-        r, c = rows[lo : lo + len(buf)], cols[lo : lo + len(buf)]
-        n = len(r)
-        _sums(q[r], p[c], buf[:n], eucsq[:n], dots[:n], metric)
-        scored = _finish(eucsq[:n], dots[:n], qn[r], pn[c], metric)
-        check_finite_distances(scored, metric, first_row + r, c)
-        exact[pos[lo : lo + n], c] = scored
-    ranked[rest] = np.argsort(exact, axis=1, kind="stable")[:, :k]
+    # every other row: score its candidates exactly. They are at least k, in
+    # index order, and each other prototype is farther than k of them, so a
+    # stable sort of their checked, finite distances ranks the row as a
+    # stable sort of all its exact distances would.
+    for row in np.setdiff1d(np.arange(q.shape[0]), settled, assume_unique=True):
+        cols = np.flatnonzero(candidate[row])
+        scored = pairwise_distances(q[row : row + 1], p[cols], metric)[0]
+        check_finite_distances(scored, metric, [first_row + row] * cols.size, cols)
+        ranked[row] = cols[np.argsort(scored, kind="stable")[:k]]

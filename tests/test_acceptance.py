@@ -7,7 +7,8 @@ metric beats plain squared Euclidean), oracle equivalence of the evaluation
 stack, bit-level determinism, and the degenerate-input contracts. Each test
 prints one ``criterion N (...): PASS|FAIL`` line; run with ``-s`` to see
 them live. The shared five-seed benchmark bundle trains 30 small models in
-about ten seconds and prints the headline table behind criteria 3-5.
+about ten seconds and prints the headline table behind criteria 3-5,
+with each seed's k=1 hubness pair (s2v, v2s), ties marked.
 """
 
 import time
@@ -101,6 +102,10 @@ def bundle():
     print(f"fusion s2v eu  : {np.round(runs['fusion_eu'], 4)}  mean {h['fusion_eu']:.4f}")
     print(f"hubness s2v    : {np.round(runs['hub_s2v'], 4)}")
     print(f"hubness v2s    : {np.round(runs['hub_v2s'], 4)}")
+    hub_pairs = zip(SEEDS, runs["hub_s2v"], runs["hub_v2s"])
+    print("hub (s2v, v2s) : " + ", ".join(
+        f"seed {seed} ({a:.4f}, {b:.4f}){' tie' if a == b else ''}" for seed, a, b in hub_pairs
+    ))
     print(f"ec >= euclidean: {h['ec_wins']}/{n} seeds")
     print(f"hub v2s >= s2v : {h['hub_wins']}/{n} seeds ({h['hub_ties']} tied)")
     return h

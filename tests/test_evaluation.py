@@ -221,17 +221,22 @@ def test_evaluate_visual_to_semantic_direction():
     assert 0.0 <= result.top1 <= result.top5 <= 1.0
 
 
+def without_test_samples(ds):
+    empty = FeatureMatrix(np.zeros((0, ds.test_visual.dim)), np.zeros(0, dtype=int))
+    return dataclasses.replace(ds, test_visual=empty)
+
+
 def test_evaluate_no_test_samples():
     ds = build_dataset()
-    empty = Dataset(
-        ds.visual,
-        FeatureMatrix(np.zeros((0, ds.test_visual.dim)), np.zeros(0, dtype=int)),
-        ds.semantics,
-        ds.seen,
-        ds.unseen,
-    )
     with pytest.raises(ValueError, match="no test samples"):
-        evaluate(build_model(ds), empty, MetricKind.ec(0.9), ("A",))
+        evaluate(build_model(ds), without_test_samples(ds), MetricKind.ec(0.9), ("A",))
+
+
+def test_prediction_distances_no_test_samples():
+    # a (0, classes) matrix would give a "hub-free" skew of 0.0 from no queries
+    ds = build_dataset()
+    with pytest.raises(ValueError, match="no test samples"):
+        prediction_distances(build_model(ds), without_test_samples(ds), MetricKind.ec(0.9), ("A",))
 
 
 def test_evaluate_rejects_non_finite_prototypes():
@@ -341,6 +346,11 @@ def test_hubness_validation():
         hubness_skewness(np.zeros((5, 3)), k=0)
     with pytest.raises(ValueError, match="k must be"):
         hubness_skewness(np.zeros((5, 3)), k=4)
+
+
+def test_hubness_rejects_a_matrix_with_no_queries():
+    with pytest.raises(ValueError, match="skewness needs at least one query"):
+        hubness_skewness(np.zeros((0, 6)), k=1)
 
 
 # ---------------------------------------------------------------------------

@@ -414,18 +414,19 @@ def test_top_k_names_the_first_overflowing_pair_in_a_later_block(metric):
 
 
 def rescored_pairs(monkeypatch, q, p) -> list:
-    """Spy on the exact core: one entry per pair it scores, the query row
-    and the prototype rows equal to the one scored."""
+    """Spy on ``pairwise_distances`` inside ``top_k_classes``: one entry per
+    pair it scores, the query row and the prototype rows equal to the one scored."""
     pairs = []
-    core = metric_module._sums
+    exact = metric_module.pairwise_distances
 
-    def spy(x, y, *rest):
-        for xi, yi in zip(x, np.broadcast_to(y, x.shape)):
+    def spy(x, y, metric):
+        for xi in x:
             row = int(np.flatnonzero((q == xi).all(axis=1))[0])
-            pairs.append((row, tuple(np.flatnonzero((p == yi).all(axis=1)).tolist())))
-        core(x, y, *rest)
+            for yi in y:
+                pairs.append((row, tuple(np.flatnonzero((p == yi).all(axis=1)).tolist())))
+        return exact(x, y, metric)
 
-    monkeypatch.setattr(metric_module, "_sums", spy)
+    monkeypatch.setattr(metric_module, "pairwise_distances", spy)
     return pairs
 
 
@@ -461,6 +462,34 @@ def test_top_k_rescores_every_candidate_of_a_row_with_a_tie(metric, plant, monke
     # exactly k = 2 candidates, but their bounds overlap
     np.testing.assert_array_equal(top_k_classes(q[1:2], p, metric, 2), want[1:2, :2])
     assert sorted(pairs) == both
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.kind)
+def test_top_k_rescores_a_tie_in_a_later_query_block(metric, monkeypatch):
+    rng = np.random.default_rng(8)
+    p = rng.normal(size=(2000, 4))
+    p[5] = p[2]
+    q = rng.normal(size=(100, 4))
+    assert metric_module._BLOCK_BYTES // (8 * len(p)) <= 70  # row 70 is not in the first block
+    q[70] = p[2] + 1e-3 * rng.normal(size=4)
+    want = np.argsort(pairwise_distances(q, p, metric), axis=1, kind="stable")
+    assert want[70, :2].tolist() == [2, 5]
+    pairs = rescored_pairs(monkeypatch, q, p)
+    for k in (1, 2):  # two candidates for k = 1; for k = 2, two whose bounds overlap
+        np.testing.assert_array_equal(top_k_classes(q, p, metric, k), want[:, :k])
+        assert pairs == [(70, (2, 5))] * 2
+        pairs.clear()
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.kind)
+def test_pairwise_distances_of_no_and_one_query_row(metric):
+    rng = np.random.default_rng(6)
+    p = rng.normal(size=(4, 3))
+    assert pairwise_distances(np.empty((0, 3)), p, metric).shape == (0, 4)
+    q = rng.normal(size=(1, 3))
+    d = pairwise_distances(q, p, metric)
+    assert d.shape == (1, 4)
+    assert d[0].tolist() == [metric_distance(q[0], row, metric) for row in p]
 
 
 def test_top_k_memory_grows_with_queries_only_by_the_ranks():

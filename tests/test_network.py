@@ -572,7 +572,7 @@ def per_head_embed(model, inputs, tags):
 @pytest.mark.parametrize("class_rows", [False, True], ids=["rows=None", "repeated rows"])
 @pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
 @pytest.mark.parametrize("n_heads", [1, 2, 3, 4])
-def test_head_bank_matches_per_head_heads_bitwise(n_heads, direction, class_rows):
+def test_model_heads_match_the_per_head_oracle_bitwise(n_heads, direction, class_rows):
     # the model's heads (one ReluStack each) against an oracle written apart from it; its rows=None
     # cases compare bytes with an oracle that scales the residual itself, so identity rows change no bit
     rng = np.random.default_rng(zlib.crc32(f"{n_heads}|{direction}|{class_rows}".encode()))
