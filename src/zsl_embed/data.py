@@ -311,9 +311,14 @@ def save_dataset(dataset: Dataset, directory: str | Path) -> None:
     """Write a dataset as binary feature files plus a split file.
 
     Layout: ``train_visual.zslf``, ``test_visual.zslf``, ``split.txt`` and
-    one ``semantic_<TAG>.zslf`` per modality.
+    one ``semantic_<TAG>.zslf`` per modality. Raises ValueError before any
+    file is written if the directory holds another modality's table, which
+    ``load_dataset`` would read back in.
     """
     directory = Path(directory)
+    for path in sorted(directory.glob(f"{SEMANTIC_PREFIX}*.zslf")):
+        if path.stem[len(SEMANTIC_PREFIX) :] not in dataset.modality_tags:
+            raise ValueError(f"{path}: a semantic table of a modality this dataset lacks; remove it first")
     directory.mkdir(parents=True, exist_ok=True)
     save_feature_matrix(dataset.visual, directory / TRAIN_VISUAL_FILE)
     save_feature_matrix(dataset.test_visual, directory / TEST_VISUAL_FILE)

@@ -34,12 +34,14 @@ Every branch (each head, the shared layer, the visual map) is a
 layers with one hand-derived backward pass (no autodiff); the ReLU
 subgradient at exactly 0 is taken as 0. The heads are summed in sorted
 tag order. All parameters of a model are views into one contiguous
-float64 vector (a ``ParamBuffer``): every weight matrix first, stack by
-stack, then every bias, so the L2 penalty is one dot product over the
-weights, summed in chunks (``metric._dot``) so that it does not depend
-on the BLAS thread count. Gradients come back in a buffer of the same
-layout, which a training loop passes as ``out=`` to every step, and
-optimizers update the whole model with a few vector ops.
+float64 vector (a ``ParamBuffer``): first ``trained``, the span a model
+trains (all of it for s2v, the visual map for v2s), then a v2s model's
+fixed heads, each part every weight first, stack by stack, then every
+bias. So the L2 penalty is one dot product over ``trained``'s weights,
+summed in chunks (``metric._dot``) so that it does not depend on the BLAS
+thread count. Gradients come back laid out like ``trained``, in a buffer a
+training loop passes as ``out=`` to every step, and optimizers update that
+span with a few vector ops.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ class NetConfig:
 
 
 def _stacks(config: NetConfig) -> dict[str, list[tuple[str, str, tuple[int, int]]]]:
-    """Each stack's layers as (weight name, bias name, weight shape), in buffer order.
+    """Each stack's layers as (weight name, bias name, weight shape), the heads first.
 
     Heads map modality dim -> head_hidden -> head_out, the s2v shared layer
     head_out -> embed_dim, and the v2s visual map embed_dim -> head_out ->
@@ -142,26 +144,30 @@ def _stacks(config: NetConfig) -> dict[str, list[tuple[str, str, tuple[int, int]
     }
 
 
-def param_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
-    """Every parameter's shape, in the order of the flat parameter buffer:
-    every weight, stack by stack in ``_stacks`` order, then every bias."""
-    layers = [layer for layers in _stacks(config).values() for layer in layers]
-    return {**{w: shape for w, _, shape in layers}, **{b: shape[:1] for _, b, shape in layers}}
+def param_shapes(config: NetConfig, trained: bool = False) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in the flat buffer's order: the parameters the
+    model trains (all for s2v, the visual map's for v2s), then a v2s model's
+    fixed heads; each group is every weight, stack by stack in ``_stacks``
+    order, then every bias. With ``trained``, the first group alone."""
+    shapes, stacks = {}, _stacks(config)
+    for group in (True,) if trained else (True, False):
+        layers = [layer for p in stacks if (config.direction == S_TO_V or p == "vmap") == group for layer in stacks[p]]
+        shapes |= {w: shape for w, _, shape in layers} | {b: shape[:1] for _, b, shape in layers}
+    return shapes
 
 
 class ParamBuffer(dict):
     """Name -> array mapping whose arrays are views into one float64 vector.
 
-    ``flat`` holds the values of every shape given, in order and zero at
-    first; writing through a view writes ``flat`` and the other way round.
-    A model's buffer follows ``param_shapes``: its weights fill a leading
-    slice of ``flat``.
+    ``flat`` holds the values of every shape given, in order: a new vector,
+    zero at first, or the leading span of ``flat`` if one is given. Writing
+    through a view writes ``flat`` and the other way round.
     """
 
-    def __init__(self, shapes: Mapping[str, tuple[int, ...]]):
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]], flat: np.ndarray | None = None):
         super().__init__()
         sizes = [math.prod(shape) for shape in shapes.values()]
-        self.flat = np.zeros(sum(sizes))
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat[: sum(sizes)]
         start = 0
         for (name, shape), size in zip(shapes.items(), sizes):
             self[name] = self.flat[start : start + size].reshape(shape)
@@ -279,16 +285,17 @@ class EmbeddingModel:
     ``params`` holds every parameter of the configured heads and of the
     shared layer (s2v) or the visual map (v2s), zero until set
     (``init_model`` draws them); ``fusion.params`` and ``visual_map.params``
-    are views into it. s2v trains all of them, v2s the visual map alone.
+    are views into it. ``trained`` views the leading span that training
+    moves (all of it for s2v, the visual map for v2s), and ``weights`` its
+    leading weights, which the L2 penalty covers.
     """
 
     def __init__(self, config: NetConfig):
         self.config = config
         self.params = ParamBuffer(param_shapes(config))
+        self.trained = ParamBuffer(param_shapes(config, trained=True), self.params.flat)
+        self.weights = self.trained.flat[: sum(p.size for p in self.trained.values() if p.ndim == 2)]
         stacks = _stacks(config)
-        sizes = [sum(math.prod(s) for _, _, s in layers) for layers in stacks.values()]
-        # the trained weights: every one (see param_shapes), or for v2s the visual map's, the last
-        self.weights = slice(sum(sizes) - sizes[-1] if "vmap" in stacks else 0, sum(sizes))
         self.fusion = FusionNet(config, self.params)
         self.visual_map = ReluStack(self.params, stacks["vmap"]) if "vmap" in stacks else None
 
@@ -352,7 +359,7 @@ class EmbeddingModel:
         else:
             mapped, acts = self.visual_map.forward(x)
             residual = mapped - fused[rows]
-        w = self.params.flat[self.weights]
+        w = self.weights
         mse = float(np.add.reduce(residual * residual, axis=None)) / m
         return mse + self.config.l2_lambda * float(_dot(w, w)), head_caches, acts, residual, m, rows
 
@@ -370,21 +377,21 @@ class EmbeddingModel:
         name exactly the model's heads. For s2v, ``inputs`` maps each head's
         modality to its semantic rows. For v2s it is the matrix of fused
         class rows that ``embed`` returns for the model's heads, ``head_out``
-        wide: they are fixed targets, so no head runs here and each head
-        entry of the gradient is 0. With ``rows``, every input holds the same
-        k class rows and target ``i`` pairs with input row ``rows[i]``, an
-        integer in [0, k): for s2v the heads and the shared layer run on the
-        k class rows, and each sample's residual gradient is summed per class
-        before it enters them. The v2s visual map runs per sample. Without
-        ``rows`` input row ``i`` belongs to target ``i``, as identity rows.
+        wide: they are fixed targets, so no head runs here. With ``rows``,
+        every input holds the same k class rows and target ``i`` pairs with
+        input row ``rows[i]``, an integer in [0, k): for s2v the heads and the
+        shared layer run on the k class rows, and each sample's residual
+        gradient is summed per class before it enters them. The v2s visual
+        map runs per sample. Without ``rows`` input row ``i`` belongs to
+        target ``i``, as identity rows.
 
         The L2 term covers the trained weights (``weights``), not the biases, so
         the returned gradients are exact partials of the returned loss. They are
-        laid out like ``params`` and written into and returned in ``out``, a
+        laid out like ``trained`` and written into and returned in ``out``, a
         buffer of that layout whose old values do not matter, or else a new one.
         """
         loss, head_caches, acts, residual, m, rows = self._forward(inputs, targets, active, rows)
-        grads = ParamBuffer(param_shapes(self.config)) if out is None else out
+        grads = ParamBuffer(param_shapes(self.config, trained=True)) if out is None else out
         if self.direction == S_TO_V:
             # (2 / m) * residual with row i added into class row rows[i]: one GEMM with a one-hot matrix
             onehot = np.zeros((head_caches[0][0].shape[0], m))
@@ -392,13 +399,12 @@ class EmbeddingModel:
             d_fused = self.fusion.out.backward(acts, onehot @ residual, grads, input_grad=True)
             for head, head_acts in zip(self.fusion.heads.values(), head_caches):
                 head.backward(head_acts, d_fused, grads)
-        else:  # the fused targets are fixed: the heads' entries are 0
-            grads.flat.fill(0.0)
+        else:  # the fused targets are fixed: the visual map alone trains
             self.visual_map.backward(acts, (2.0 / m) * residual, grads)
 
         lam = self.config.l2_lambda
         if lam != 0.0:  # in blocks, so no weight-sized temporary is allocated
-            for g, w in _blocks(grads.flat[self.weights], self.params.flat[self.weights]):
+            for g, w in _blocks(grads.flat[: self.weights.size], self.weights):
                 g += (2.0 * lam) * w
         return loss, grads
 
@@ -440,11 +446,11 @@ def numerical_gradients(
     step: float,
     rows=None,
 ) -> ParamBuffer:
-    """Central finite differences of the training loss over every parameter,
-    for verification, in a buffer laid out like ``model.params``. ``rows``
-    is passed on to ``model.loss``."""
-    grads = ParamBuffer(param_shapes(model.config))
-    params = model.params.flat
+    """Central finite differences of the training loss over every trained
+    parameter, for verification, in a buffer laid out like ``model.trained``.
+    ``rows`` is passed on to ``model.loss``."""
+    grads = ParamBuffer(param_shapes(model.config, trained=True))
+    params = model.trained.flat
     for i in range(params.size):
         orig = params[i]
         params[i] = orig + step
@@ -472,13 +478,12 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
     Covers every non-empty subset of four modalities in both directions
     with random dims <= 8 and two batches each: up to 4 samples with an
     input row each, and up to 7 samples that share up to 3 class rows
-    (``rows``), so that classes repeat; returns the max relative error. A
-    v2s loss takes the inputs' fused rows, so its heads' finite differences
-    are 0, and its analytic head entries must be exactly 0 (else the error
-    is inf).
-    All parameters (biases included) are jittered to generic values so no
-    ReLU preactivation sits exactly at its kink, where the one-sided
-    subgradient convention and central differences disagree.
+    (``rows``), so that classes repeat; returns the max relative error over
+    the trained parameters. All parameters (biases included) are jittered to
+    generic values so no ReLU preactivation sits exactly at its kink, where
+    the one-sided subgradient convention and central differences disagree.
+    They are jittered in the order every weight, stack by stack, then every
+    bias, so the instances do not depend on the buffer's layout.
     """
     if seed < 0:
         raise ValueError(f"gradcheck seed must be >= 0, got {seed}")
@@ -500,7 +505,9 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
                 l2_lambda=float(rng.uniform(0.0, 1e-3)),
             )
             model = init_model(config, seed=int(rng.integers(0, 2**31)))
-            model.params.flat += rng.uniform(-0.3, 0.3, size=model.params.flat.size)
+            layers = [layer for layers in _stacks(config).values() for layer in layers]
+            for name in [w for w, _, _ in layers] + [b for _, b, _ in layers]:
+                model.params[name] += rng.uniform(-0.3, 0.3, size=model.params[name].shape)
             m = int(rng.integers(1, 5))
             k = int(rng.integers(1, 4))
             # m samples with a row each, then m + k samples on k class rows
@@ -512,7 +519,5 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
                     inputs = model.embed(inputs, subset)
                 _, analytic = model.loss_and_grad(inputs, targets, subset, rows=rows)
                 numeric = numerical_gradients(model, inputs, targets, subset, step=step, rows=rows)
-                if direction == V_TO_S and any(analytic[name].any() for name in model.fusion.params):
-                    worst = math.inf
                 worst = max(worst, max_relative_error(analytic, numeric))
     return worst

@@ -9,26 +9,25 @@ class's row (``rows`` of ``EmbeddingModel.loss_and_grad``; without it,
 input row ``i`` would be target ``i``'s), so the semantic branch runs
 once per class and not once per sample. v2s regresses onto fixed fused
 class rows, so a run fuses its seen-class table once and each sample
-names its class's row of it. Checkpoints written by versions that ran it
-per sample are not byte-equal to new ones (the sums differ in their last
-bits); reruns and ``ablate --jobs`` settings stay byte-identical. ``fuse``
-checks the semantic inputs against each other; the loss checks the
-targets' width as ``map_visual`` checks the features it scores, so a
-dataset not ``embed_dim`` wide fails at the first step. Every step runs at
-the one ``lr`` set; Adam uses ``ADAM_BETA1``, ``ADAM_BETA2`` and
+names its class's row of it. Reruns and ``ablate --jobs`` settings are
+byte-identical. ``fuse`` checks the semantic inputs against each other;
+the loss checks the targets' width as ``map_visual`` checks the features
+it scores, so a dataset not ``embed_dim`` wide fails at the first step.
+The optimizer and the gradient buffer cover ``EmbeddingModel.trained``
+alone, so a v2s model's fixed heads hold no optimizer state. Every step
+runs at the one ``lr`` set; Adam uses ``ADAM_BETA1``, ``ADAM_BETA2`` and
 ``ADAM_EPSILON``, the defaults of Kingma and Ba, and SGD uses
 ``SGD_MOMENTUM``. Adam keeps its moments scaled by ``1 / (1 - beta)``,
 which folds the bias corrections and ``lr`` into two scalars per step;
-its updates differ from Kingma and Ba's form only in rounding, so
-checkpoints trained by versions that kept the moments unscaled are not
-byte-equal to new ones either. Older v2s checkpoints still load and
-score but hold jointly trained heads.
+its updates differ from Kingma and Ba's form only in rounding.
 
 Checkpoints are a single binary file: magic ``ZSLC``, u32 LE version,
 a length-prefixed ``key = value`` text block holding the architecture
 config, the model's flat parameter vector (float64 LE, in ``param_shapes``
-order, which the config fixes), and a trailing CRC32 of everything before
-it. Round-trips are bit-exact. Saving and loading stream the vector
+order, which the config fixes: the trained span first), and a trailing
+CRC32 of everything before it. Round-trips are bit-exact. Version 3 put
+a v2s model's heads before its visual map, in a vector of the same size,
+so it is refused. Saving and loading stream the vector
 straight between the file and the model, updating the CRC32 as they go,
 so neither holds a copy of the file; a loaded model is returned only
 after its CRC32 has been verified.
@@ -50,7 +49,7 @@ from .data import Dataset, parse_modality_dims
 from .network import V_TO_S, EmbeddingModel, NetConfig, ParamBuffer, _BLOCK, _blocks, init_model, param_shapes
 
 CHECKPOINT_MAGIC = b"ZSLC"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 OPTIMIZERS = ("adam", "sgd")
 
@@ -191,8 +190,8 @@ def train(
     fused = model.embed(semantics, tags) if model.direction == V_TO_S else None
     slot = np.empty(classes.size, dtype=np.intp)  # each class's row in the current s2v batch
 
-    optimizer = (Adam if train_config.optimizer == "adam" else SgdMomentum)(model.params, train_config.lr)
-    grads = ParamBuffer(param_shapes(model.config))  # every step overwrites it
+    optimizer = (Adam if train_config.optimizer == "adam" else SgdMomentum)(model.trained, train_config.lr)
+    grads = ParamBuffer(param_shapes(model.config, trained=True))  # every step overwrites it
     rng = np.random.default_rng(train_config.seed)
     first = None
     for epoch in range(train_config.epochs):

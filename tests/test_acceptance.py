@@ -8,7 +8,9 @@ stack, bit-level determinism, and the degenerate-input contracts. Each test
 prints one ``criterion N (...): PASS|FAIL`` line; run with ``-s`` to see
 them live. The shared five-seed benchmark bundle trains 30 small models in
 about ten seconds and prints the headline table behind criteria 3-5,
-with each seed's k=1 hubness pair (s2v, v2s), ties marked.
+with each seed's k=1 hubness pair (s2v, v2s), ties marked. It also
+prints, as a measurement and not a criterion, both directions' hubness at
+k=1 and k=5 over all 24 class prototypes, the seen classes as distractors.
 """
 
 import time
@@ -24,7 +26,7 @@ from zsl_embed.evaluation import (
     hubness_skewness,
     prediction_distances,
 )
-from zsl_embed.metric import MetricKind, cosine_sim, ec_distance, metric_distance, top_k_classes
+from zsl_embed.metric import MetricKind, cosine_sim, ec_distance, metric_distance, pairwise_distances, top_k_classes
 from zsl_embed.network import NetConfig, S_TO_V, V_TO_S, gradient_check, init_model
 from zsl_embed.synthetic import ModalitySpec, SynthConfig, generate
 from zsl_embed.training import TrainConfig, load_checkpoint, save_checkpoint, train
@@ -69,12 +71,21 @@ def headline(runs):
     return h
 
 
+def all_class_hubness(model, ds, k):
+    """Hubness skew at ``k`` of the test queries over every class's prototype,
+    the seen classes as distractors, under EC."""
+    ids = sorted(ds.seen | ds.unseen)
+    prototypes = model.embed({tag: ds.table(tag).matrix(ids) for tag in TAGS}, TAGS)
+    return hubness_skewness(pairwise_distances(model.map_visual(ds.test_visual.values), prototypes, EC), k)
+
+
 @pytest.fixture(scope="module")
 def bundle():
     start = time.perf_counter()
     runs = {
         "fusion_ec": [], "fusion_eu": [], "v2s_ec": [],
         "singles": {t: [] for t in TAGS}, "hub_s2v": [], "hub_v2s": [],
+        "hub_all": {k: [] for k in (1, 5)},
     }
     for seed in SEEDS:
         ds = generate(SynthConfig(seed=seed))
@@ -91,6 +102,8 @@ def bundle():
         d_v2s, _ = prediction_distances(m_v2s, ds, EC, TAGS)
         runs["hub_s2v"].append(hubness_skewness(d_s2v, 1))
         runs["hub_v2s"].append(hubness_skewness(d_v2s, 1))
+        for k, pairs in runs["hub_all"].items():
+            pairs.append((all_class_hubness(m_s2v, ds, k), all_class_hubness(m_v2s, ds, k)))
 
     h, n = headline(runs), len(SEEDS)
     print(f"\n{6 * n} trainings in {time.perf_counter() - start:.1f}s, seeds {list(SEEDS)}")
@@ -108,6 +121,12 @@ def bundle():
     ))
     print(f"ec >= euclidean: {h['ec_wins']}/{n} seeds")
     print(f"hub v2s >= s2v : {h['hub_wins']}/{n} seeds ({h['hub_ties']} tied)")
+    for k, pairs in runs["hub_all"].items():  # a measurement, not a criterion
+        print(f"hub all 24 k={k} (s2v, v2s) : " + ", ".join(
+            f"seed {seed} ({a:.4f}, {b:.4f})" for seed, (a, b) in zip(SEEDS, pairs)
+        ))
+        print(f"hub all 24 k={k} v2s >= s2v : {sum(b >= a for a, b in pairs)}/{n} seeds "
+              f"({sum(b == a for a, b in pairs)} tied)")
     return h
 
 

@@ -13,6 +13,7 @@ import pytest
 import zsl_embed
 from zsl_embed import evaluation
 from zsl_embed.cli import _CONFIG_KEYS, _config_from, build_parser, dispatch, read_config_file
+from zsl_embed.data import load_dataset
 from zsl_embed.evaluation import REPORT_HEADER, AblationCell, EvalResult, cell_seed
 from zsl_embed.metric import MetricKind
 from zsl_embed.network import NetConfig, V_TO_S
@@ -363,6 +364,26 @@ def test_synth_seed_flag_changes_data(cfg_path, tmp_path, capsys):
     assert dispatch(["synth", "--config", cfg, "--out", str(b), "--seed", "2"]) == 0
     capsys.readouterr()
     assert (a / "train_visual.zslf").read_bytes() != (b / "train_visual.zslf").read_bytes()
+
+
+def test_synth_over_a_dataset_with_other_modalities_is_refused(cfg_path, tmp_path, capsys):
+    # load_dataset reads every semantic_<TAG>.zslf, so a table left from the old dataset would be
+    # paired with the new one's features and split
+    data = tmp_path / "data"
+    assert dispatch(["synth", "--config", str(cfg_path), "--out", str(data), "--seed", "1"]) == 0
+    before = {p.name: p.read_bytes() for p in data.iterdir()}
+    other = tmp_path / "other.cfg"
+    other.write_text(cfg_path.read_text().replace("synth.modalities = A:5,B:4", "synth.modalities = W:12"))
+    capsys.readouterr()
+    assert dispatch(["synth", "--config", str(other), "--out", str(data), "--seed", "2"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data / 'semantic_A.zslf'}: a semantic table of a modality this dataset lacks; remove it first\n"
+    )
+    assert {p.name: p.read_bytes() for p in data.iterdir()} == before  # nothing written, nothing deleted
+    assert load_dataset(data).modality_tags == ("A", "B")
+    # the same modalities again overwrite the dataset in place
+    assert dispatch(["synth", "--config", str(cfg_path), "--out", str(data), "--seed", "2"]) == 0
+    assert (data / "train_visual.zslf").read_bytes() != before["train_visual.zslf"]
 
 
 def test_train_direction_flag(cfg_path, tmp_path, capsys):

@@ -61,6 +61,14 @@ def jitter(model, rng, scale=0.3):
         p += rng.uniform(-scale, scale, size=p.shape)
 
 
+def restricted(grads, names):
+    """A buffer holding copies of ``grads``' arrays of ``names``, in that order."""
+    buf = ParamBuffer({name: grads[name].shape for name in names})
+    for name in names:
+        buf[name][...] = grads[name]
+    return buf
+
+
 def loss_inputs(model, inputs, active):
     """What ``loss`` and ``loss_and_grad`` take for the modality ``inputs``:
     the inputs themselves for s2v, their fused rows (``embed``) for v2s."""
@@ -515,12 +523,12 @@ def per_head_oracle(model, inputs, targets, rows):
     two dense-ReLU layers, the heads summed in sorted tag order, and the
     backward pass run one head at a time, each op as the model orders it.
     For v2s the fused sum is a fixed target: only the visual map backprops,
-    the heads' gradients are zero, and the penalty covers the visual map's
-    weights alone."""
+    so the gradients name its parameters alone, and the penalty covers the
+    visual map's weights alone."""
     p, cfg = model.params, model.config
     lam, m = cfg.l2_lambda, targets.shape[0]
-    grads = {name: np.zeros_like(a) for name, a in p.items()}
     trained = trained_names(model)
+    grads = {name: np.zeros_like(p[name]) for name in trained}
 
     def backward(acts, d_out, names):
         for k in reversed(range(len(names))):
@@ -591,9 +599,8 @@ def test_model_heads_match_the_per_head_oracle_bitwise(n_heads, direction, class
         assert list(grads) == list(expected)
         for name, g in expected.items():
             assert grads[name].tobytes() == g.tobytes(), (held, name)
-        if direction == V_TO_S:  # the heads' entries are exactly +0.0, the visual map's are not all 0
-            assert all(not grads[name].any() for name in grads if name.startswith("head."))
-            assert any(grads[name].any() for name in trained_names(model)), held
+        if direction == V_TO_S:  # the visual map's arrays alone (the oracle's names), not all 0
+            assert any(grads[name].any() for name in grads), held
         for size in range(1, n_heads + 1):
             for subset in itertools.combinations(held, size):
                 got = model.embed(inputs, subset[::-1])
@@ -635,12 +642,11 @@ def test_gradients_match_finite_differences(direction, active):
         inputs = loss_inputs(model, inputs, active)
         _, analytic = model.loss_and_grad(inputs, targets, active, rows=rows)
         numeric = finite_difference(model, inputs, targets, active, rows=rows)
-        assert set(analytic) == set(numeric)
-        if direction == V_TO_S:  # the loss takes the fused rows: no head runs in it
-            for name in analytic:
-                if name not in trained_names(model):
-                    assert not analytic[name].any() and not numeric[name].any(), name
-        err = max_relative_error(analytic, numeric)
+        assert list(analytic) == trained_names(model)
+        for name in numeric:  # v2s: the loss takes the fused rows, so no head runs in it
+            if name not in analytic:
+                assert direction == V_TO_S and not numeric[name].any(), name
+        err = max_relative_error(analytic, restricted(numeric, analytic))
         assert err < 1e-6, f"class_rows={class_rows}"
 
 
@@ -664,9 +670,12 @@ def test_numerical_gradients_equal_the_independent_loop_bitwise(direction):
     numeric = numerical_gradients(model, inputs, targets, ("A", "B"), step=1e-5)
     expected = finite_difference(model, inputs, targets, ("A", "B"))
     assert isinstance(numeric, ParamBuffer)
-    assert list(numeric) == list(expected)
+    assert list(numeric) == trained_names(model) == list(model.trained)
     for name in expected:
-        assert numeric[name].tobytes() == expected[name].tobytes(), name
+        if name in numeric:
+            assert numeric[name].tobytes() == expected[name].tobytes(), name
+        else:  # a v2s head: its finite differences are exactly 0, so leaving it out loses nothing
+            assert direction == V_TO_S and not expected[name].any(), name
 
 
 def test_max_relative_error_mismatched_bundles():
@@ -702,7 +711,8 @@ def test_gradients_into_a_dirty_buffer_equal_a_fresh_call_bitwise(direction, act
     inputs = loss_inputs(model, {"A": rng.normal(size=(4, 3)), "B": rng.normal(size=(4, 2))}, active)
     targets = rng.uniform(0, 1, size=(4, 5))
     loss, fresh = model.loss_and_grad(inputs, targets, active)
-    out = ParamBuffer(param_shapes(model.config))
+    out = ParamBuffer(param_shapes(model.config, trained=True))
+    assert out.flat.size == model.trained.flat.size
     out.flat[:] = rng.normal(size=out.flat.size)  # left over from an earlier step
     loss_out, grads = model.loss_and_grad(inputs, targets, active, out=out)
     assert grads is out
@@ -710,25 +720,56 @@ def test_gradients_into_a_dirty_buffer_equal_a_fresh_call_bitwise(direction, act
     assert out.flat.tobytes() == fresh.flat.tobytes()
 
 
+def test_v2s_gradients_name_exactly_the_visual_maps_arrays():
+    # the heads are fixed targets: the gradient holds the visual map's 6 arrays and nothing else
+    rng = np.random.default_rng(31)
+    model = init_model(toy_config(direction=V_TO_S, l2_lambda=1e-3), seed=4)
+    inputs = loss_inputs(model, {"A": rng.normal(size=(3, 3)), "B": rng.normal(size=(3, 2))}, ("A", "B"))
+    _, grads = model.loss_and_grad(inputs, rng.uniform(0, 1, size=(3, 5)), ("A", "B"))
+    assert list(grads) == ["vmap.W1", "vmap.W2", "vmap.W3", "vmap.b1", "vmap.b2", "vmap.b3"]
+    vmap = sum(p.size for name, p in model.params.items() if name.startswith("vmap."))
+    assert grads.flat.size == model.trained.flat.size == vmap < model.params.flat.size
+    for name, g in grads.items():
+        assert g.shape == model.params[name].shape, name
+
+
+@pytest.mark.parametrize("seed, expected", [(7, 2.888e-7), (17, 2.224e-7)])
+def test_gradcheck_instances_do_not_move_with_the_layout(seed, expected):
+    # the two worst seeds of 0-19; a jitter drawn in buffer order would redraw every v2s instance
+    assert network_module.gradient_check(seed) == pytest.approx(expected, rel=0.01)
+
+
 @pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
-def test_param_shapes_put_every_weight_before_every_bias(direction):
+def test_param_shapes_put_the_trained_span_first(direction):
     names = list(param_shapes(toy_config(direction=direction)))
-    kinds = [name.rsplit(".", 1)[1][0] for name in names]
-    n_weights = kinds.count("W")
-    assert kinds == ["W"] * n_weights + ["b"] * (len(names) - n_weights)
+    trained = [name for name in names if direction == S_TO_V or name.startswith("vmap.")]
+    fixed = [name for name in names if name not in trained]
+
+    def weights_then_biases(group):
+        return [n for n in group if n.rsplit(".", 1)[1][0] == "W"] + [n for n in group if n.rsplit(".", 1)[1][0] == "b"]
+
+    # the trained group leads, then the fixed v2s heads; each group's weights come before its biases
+    assert names == weights_then_biases(trained) + weights_then_biases(fixed)
+    assert list(param_shapes(toy_config(direction=direction), trained=True)) == trained
     model = init_model(toy_config(direction=direction), seed=0)
-    assert list(model.params) == names
-    size = sum(model.params[name].size for name in names[:n_weights])
-    for name in names[:n_weights]:  # every weight is a view into the leading span of flat
-        assert np.shares_memory(model.params[name], model.params.flat[:size])
-        assert not np.shares_memory(model.params[name], model.params.flat[size:])
-    # the penalty's slice holds the trained weights, which end that span: all of them for
-    # s2v, the visual map's for v2s
-    trained = [name for name in trained_names(model) if name in names[:n_weights]]
-    assert names[n_weights - len(trained) : n_weights] == trained
-    assert model.weights == slice(size - sum(model.params[name].size for name in trained), size)
+    assert list(model.params) == names and list(model.trained) == trained == trained_names(model)
+    size = sum(model.params[name].size for name in trained)
+    assert model.trained.flat.size == size
+    for name in names:  # the trained arrays are the leading span of flat, and trained's views are params'
+        assert np.shares_memory(model.params[name], model.params.flat[:size]) == (name in trained), name
+        if name in trained:
+            assert model.trained[name].__array_interface__ == model.params[name].__array_interface__, name
+    # the penalty's weights are trained's leading weights: all of them for s2v, the visual map's for v2s
+    model.params.flat[:] = np.arange(model.params.flat.size)
+    w = [model.params[name].ravel() for name in weights_then_biases(trained) if name.rsplit(".", 1)[1][0] == "W"]
+    assert model.weights.tobytes() == np.concatenate(w).tobytes()
+    assert np.shares_memory(model.weights, model.trained.flat)
+    assert model.weights.__array_interface__["data"] == model.params.flat.__array_interface__["data"]
     if direction == V_TO_S:
-        assert model.weights.start > 0 and trained == ["vmap.W1", "vmap.W2", "vmap.W3"]
+        assert trained == ["vmap.W1", "vmap.W2", "vmap.W3", "vmap.b1", "vmap.b2", "vmap.b3"]
+        assert 0 < size < model.params.flat.size
+    else:
+        assert fixed == [] and size == model.params.flat.size
 
 
 # checkpoints store params.flat in this order with no names or shapes: a reorder
@@ -737,10 +778,10 @@ PINNED_LAYOUTS = {
     S_TO_V: [("head.A.W1", (4, 3)), ("head.A.W2", (3, 4)), ("head.B.W1", (4, 2)), ("head.B.W2", (3, 4)),
              ("out.W3", (5, 3)), ("head.A.b1", (4,)), ("head.A.b2", (3,)), ("head.B.b1", (4,)),
              ("head.B.b2", (3,)), ("out.b3", (5,))],
-    V_TO_S: [("head.A.W1", (4, 3)), ("head.A.W2", (3, 4)), ("head.B.W1", (4, 2)), ("head.B.W2", (3, 4)),
-             ("vmap.W1", (3, 5)), ("vmap.W2", (4, 3)), ("vmap.W3", (3, 4)), ("head.A.b1", (4,)),
-             ("head.A.b2", (3,)), ("head.B.b1", (4,)), ("head.B.b2", (3,)), ("vmap.b1", (3,)),
-             ("vmap.b2", (4,)), ("vmap.b3", (3,))],
+    V_TO_S: [("vmap.W1", (3, 5)), ("vmap.W2", (4, 3)), ("vmap.W3", (3, 4)), ("vmap.b1", (3,)),
+             ("vmap.b2", (4,)), ("vmap.b3", (3,)), ("head.A.W1", (4, 3)), ("head.A.W2", (3, 4)),
+             ("head.B.W1", (4, 2)), ("head.B.W2", (3, 4)), ("head.A.b1", (4,)), ("head.A.b2", (3,)),
+             ("head.B.b1", (4,)), ("head.B.b2", (3,))],
 }
 
 
@@ -753,11 +794,11 @@ def test_param_shapes_layout_is_pinned(direction):
 def test_weight_slice_with_a_modality_tagged_w(direction):
     # the names head.W.b1 and head.W.b2 contain ".W"; the penalty still covers no bias
     model = init_model(toy_config(direction, modality_dims={"W": 3, "b": 2}, l2_lambda=1e-3), seed=1)
-    weights = [p for name, p in model.params.items() if name.rsplit(".", 1)[1].startswith("W")]
-    size = sum(p.size for p in weights)
-    # v2s penalizes the visual map's weights alone, which end the span
-    vmap = sum(p.size for name, p in model.params.items() if name.startswith("vmap.W"))
-    assert model.weights == slice(size - vmap if direction == V_TO_S else 0, size)
+    # the trained weights alone: every one for s2v, the visual map's for v2s, whose heads are fixed
+    model.params.flat[:] = np.arange(model.params.flat.size)
+    weights = [p for name, p in model.params.items()
+               if name.rsplit(".", 1)[1].startswith("W") and name in trained_names(model)]
+    assert model.weights.tobytes() == np.concatenate([p.ravel() for p in weights]).tobytes()
     # zero weights and a large bias in a first layer (for v2s, the visual map's too): every
     # output, residual and gradient is exactly zero unless the penalty takes in a bias
     model.params.flat[:] = 0.0
@@ -800,7 +841,7 @@ for direction in (S_TO_V, V_TO_S):
     config = NetConfig({"A": 300}, head_hidden=64, head_out=128, embed_dim=256,
                        direction=direction, l2_lambda=1e-3)
     model = init_model(config, seed=3)
-    assert model.weights.stop > 20_000
+    assert model.weights.size > 20_000
     # zero inputs, targets and biases: the loss is the penalty alone
     inputs = {"A": np.zeros((2, 300))}
     if direction == V_TO_S:  # a v2s loss takes the fused rows

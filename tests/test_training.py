@@ -303,7 +303,7 @@ def test_untrained_parameters_stay_bitwise_equal(direction, optimizer):
 
     ref = init_model(net, cfg.seed, ("A",))
     fresh = init_model(net, cfg.seed, ("A",))
-    opt = (Adam if optimizer == "adam" else SgdMomentum)(ref.params, cfg.lr)
+    opt = (Adam if optimizer == "adam" else SgdMomentum)(ref.trained, cfg.lr)
     if direction == V_TO_S:  # fixed targets: every seen class is fused once, as train does
         ids = np.unique(ds.visual.labels)
         fused = ref.embed({"A": ds.table("A").matrix(ids)}, ("A",))
@@ -413,6 +413,33 @@ def test_train_calls_loss_and_grad_once_per_batch(monkeypatch, batch_size, direc
     assert calls == batches * cfg.epochs
 
 
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_v2s_optimizer_and_gradient_hold_the_visual_map_alone(monkeypatch, optimizer):
+    """A v2s run's optimizer state and gradient buffer hold ``model.trained``'s
+    entries, the visual map's, and no entry of its fixed heads."""
+    seen = []
+    cls = Adam if optimizer == "adam" else SgdMomentum
+    step = cls.step
+
+    def spy(self, grad):
+        seen.append((self, grad))
+        step(self, grad)
+
+    monkeypatch.setattr(cls, "step", spy)
+    model, _ = train(tiny_dataset(), tiny_net(V_TO_S), TrainConfig(optimizer=optimizer, lr=1e-2, batch_size=4,
+                                                                   epochs=2, seed=3), ("A", "B"))
+    vmap = sum(p.size for name, p in model.params.items() if name.startswith("vmap."))
+    assert model.trained.flat.size == vmap < model.params.flat.size
+    assert list(model.trained) == [f"vmap.{p}{k}" for p in "Wb" for k in (1, 2, 3)]
+    opt = seen[0][0]
+    assert all(s[0] is opt for s in seen) and len(seen) == 4
+    assert opt.params is model.trained
+    state = [opt.m, opt.v] if optimizer == "adam" else [opt.velocity]
+    for grad in [g for _, g in seen] + state:
+        assert grad.shape == (vmap,)
+    assert np.shares_memory(opt.params.flat, model.params.flat)
+
+
 def test_v2s_fuse_once_equals_fusing_each_batch_bitwise():
     """``train`` fuses the seen-class table once; fusing each batch's distinct
     classes at every step gives the same bytes while every batch holds at
@@ -424,7 +451,7 @@ def test_v2s_fuse_once_equals_fusing_each_batch_bitwise():
     model, history = train(ds, net, cfg, net.tags)
 
     ref = init_model(net, cfg.seed)
-    opt = Adam(ref.params, cfg.lr)
+    opt = Adam(ref.trained, cfg.lr)
     n = ds.visual.rows
     order_rng = np.random.default_rng(cfg.seed)
     losses = []
@@ -556,16 +583,26 @@ def test_checkpoint_stores_the_flat_parameter_vector_after_the_config(tmp_path, 
     assert data[-4:] == struct.pack("<I", zlib.crc32(data[:-4]))
 
 
-def assert_version_rejected(tmp_path, old):
-    """A version-3 checkpoint relabelled as ``old`` and resealed does not load."""
+def relabelled(tmp_path, old, direction=S_TO_V, payload=None):
+    """A path holding a version-4 checkpoint relabelled as ``old`` and resealed,
+    its parameter bytes replaced by ``payload`` if one is given."""
     p = tmp_path / "m.ckpt"
-    save_checkpoint(trained_model(), p)
+    save_checkpoint(trained_model(direction), p)
     body = bytearray(p.read_bytes()[:-4])
-    assert body[4:8] == struct.pack("<I", 3)
+    assert body[4:8] == struct.pack("<I", 4)
     body[4:8] = struct.pack("<I", old)
+    if payload is not None:
+        (config_len,) = struct.unpack_from("<I", body, 8)
+        assert len(payload) == len(body) - 12 - config_len
+        body[12 + config_len :] = payload
     p.write_bytes(resealed(bytes(body)))
+    return p
+
+
+def assert_version_rejected(tmp_path, old):
+    """A version-4 checkpoint relabelled as ``old`` and resealed does not load."""
     with pytest.raises(ValueError, match=f"unsupported version {old}"):
-        load_checkpoint(p)
+        load_checkpoint(relabelled(tmp_path, old))
 
 
 def test_checkpoint_version_1_is_rejected(tmp_path):
@@ -576,6 +613,20 @@ def test_checkpoint_version_1_is_rejected(tmp_path):
 def test_checkpoint_version_2_is_rejected(tmp_path):
     # version 2 files held one record per parameter array, named and sorted by name
     assert_version_rejected(tmp_path, 2)
+
+
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+def test_checkpoint_version_3_is_rejected(tmp_path, direction):
+    # version 3 laid out every weight, then every bias, so a v2s file put its heads first: it has
+    # the same size and would load with its arrays swapped. Write one in that order.
+    model = trained_model(direction)
+    layers = [layer for stack in network._stacks(model.config).values() for layer in stack]
+    v3_order = [w for w, _, _ in layers] + [b for _, b, _ in layers]
+    assert sorted(v3_order) == sorted(model.params)
+    assert (v3_order == list(model.params)) == (direction == S_TO_V)
+    payload = np.concatenate([model.params[name].ravel() for name in v3_order]).astype("<f8").tobytes()
+    with pytest.raises(ValueError, match="unsupported version 3"):
+        load_checkpoint(relabelled(tmp_path, 3, direction, payload))
 
 
 def test_checkpoint_truncated(tmp_path):
