@@ -183,10 +183,10 @@ def _cmd_eval(args) -> int:
     print(
         f"top1 {result.top1:.4f} top5 {result.top5:.4f} "
         f"({dataset.test_visual.rows} samples, {len(result.class_ids)} classes, "
-        f"metric {metric.label()}, direction {model.direction})"
+        f"metric {metric.label()}, direction {model.config.direction})"
     )
     if args.out:
-        emit_report([AblationCell(tags, model.direction, metric, result)], "csv", args.out)
+        emit_report([AblationCell(tags, model.config.direction, metric, result)], "csv", args.out)
     return 0
 
 
@@ -227,12 +227,16 @@ def _parse_vector(text: str) -> np.ndarray:
 def _cmd_distance(args) -> int:
     metric = _config_from(MetricKind, "metric", {}, kind=args.metric, eta=args.eta)
     a, b = _parse_vector(args.a), _parse_vector(args.b)
-    print(f"{metric_distance(a, b, metric):.6f}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a square that overflows is refused below
+        distance = metric_distance(a, b, metric)
+    if not np.isfinite(distance):
+        raise ValueError(f"non-finite {metric.label()} distance {distance} between --a and --b")
+    print(f"{distance:.6f}")
     return 0
 
 
 def _cmd_gradcheck(args) -> int:
-    error = gradient_check(seed=args.seed if args.seed is not None else 0)
+    error = gradient_check(args.seed)
     print(f"max relative error {error:.3e}")
     return 0 if error < GRADCHECK_TOLERANCE else 1
 
@@ -287,12 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="compute one distance value")
     p.add_argument("--metric", choices=METRIC_KINDS, required=True)
     p.add_argument("--eta", type=float, help="cosine weight for the ec metric")
-    p.add_argument("--a", required=True, help="first vector, comma-separated")
-    p.add_argument("--b", required=True, help="second vector, comma-separated")
+    p.add_argument("--a", required=True, help="first vector, comma-separated (--a=-1,0 if it starts with -)")
+    p.add_argument("--b", required=True, help="second vector, comma-separated (--b=-1,0 if it starts with -)")
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients by finite differences")
-    p.add_argument("--seed", type=int, help="seed for the random instances")
+    p.add_argument("--seed", type=int, default=0, help="seed for the random instances")
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

@@ -226,13 +226,13 @@ class Dataset:
         return {tag: self.table(tag).vectors.dim for tag in tags}
 
 
-def class_prototypes(features: FeatureMatrix, modality: ModalityTag = "avg") -> SemanticTable:
-    """Arithmetic mean of the feature rows of each class."""
+def class_prototypes(features: FeatureMatrix) -> SemanticTable:
+    """Arithmetic mean of the feature rows of each class, as a table tagged ``avg``."""
     if features.rows == 0:
         raise ValueError("cannot average an empty feature matrix")
     ids = np.unique(features.labels)
     means = [features.values[features.labels == cls].mean(axis=0) for cls in ids]
-    return SemanticTable(modality, FeatureMatrix(np.stack(means), ids))
+    return SemanticTable("avg", FeatureMatrix(np.stack(means), ids))
 
 
 # ---------------------------------------------------------------------------

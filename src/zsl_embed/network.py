@@ -109,8 +109,6 @@ class NetConfig:
 
     def check_active(self, active: Iterable[str]) -> tuple[str, ...]:
         """Canonical (sorted, deduplicated) active tags; must be configured."""
-        if type(active) is tuple and active == self.tags:  # already canonical
-            return active
         if isinstance(active, str):  # set() would split it into characters
             raise ValueError(f"active modalities must be a collection of tags, not the string {active!r}")
         tags = tuple(sorted(set(active)))
@@ -270,12 +268,7 @@ class FusionNet:
                 raise ValueError(f"modality {tag}: {y.shape[0]} rows for {fused.shape[0]} rows of modality {tags[0]}")
             a, acts = self.heads[tag].forward(y)
             caches.append(acts)
-            if fused is None:
-                fused = a
-            elif len(caches) == 2:  # a new array, so no head's cached output is overwritten
-                fused = fused + a
-            else:
-                fused += a
+            fused = a if fused is None else fused + a  # a new array: no head's cached output is overwritten
         return fused, caches
 
 
@@ -298,10 +291,6 @@ class EmbeddingModel:
         stacks = _stacks(config)
         self.fusion = FusionNet(config, self.params)
         self.visual_map = ReluStack(self.params, stacks["vmap"]) if "vmap" in stacks else None
-
-    @property
-    def direction(self) -> str:
-        return self.config.direction
 
     def embed(self, inputs: Mapping[str, np.ndarray], active: Iterable[str]) -> np.ndarray:
         """Class-prototype coordinates, one row per input row, from any
@@ -341,7 +330,7 @@ class EmbeddingModel:
         m = x.shape[0]
         if m == 0:
             raise ValueError("empty batch")
-        if self.direction == S_TO_V:
+        if self.config.direction == S_TO_V:
             fused, head_caches = self.fusion.fuse(inputs, tags)
         else:  # the fused rows are the fixed targets: no head runs
             if isinstance(inputs, Mapping):
@@ -350,10 +339,10 @@ class EmbeddingModel:
             if fused.shape[1] != self.config.head_out:
                 raise ValueError(f"fused rows: expected width {self.config.head_out}, got {fused.shape[1]}")
         if rows is None and fused.shape[0] != m:
-            of = f"modality {tags[0]}" if self.direction == S_TO_V else "fused rows"
+            of = f"modality {tags[0]}" if self.config.direction == S_TO_V else "fused rows"
             raise ValueError(f"{of}: {fused.shape[0]} rows for {m} targets")
         rows = np.arange(m) if rows is None else _as_rows(rows, m, fused.shape[0])  # none: identity rows
-        if self.direction == S_TO_V:
+        if self.config.direction == S_TO_V:
             embedded, acts = self.fusion.out.forward(fused)
             residual = embedded[rows] - x
         else:
@@ -389,10 +378,13 @@ class EmbeddingModel:
         the returned gradients are exact partials of the returned loss. They are
         laid out like ``trained`` and written into and returned in ``out``, a
         buffer of that layout whose old values do not matter, or else a new one.
+        ``out`` of another size is refused before anything is written.
         """
+        if out is not None and out.flat.size != self.trained.flat.size:
+            raise ValueError(f"out holds {out.flat.size} values, the trained parameters {self.trained.flat.size}")
         loss, head_caches, acts, residual, m, rows = self._forward(inputs, targets, active, rows)
         grads = ParamBuffer(param_shapes(self.config, trained=True)) if out is None else out
-        if self.direction == S_TO_V:
+        if self.config.direction == S_TO_V:
             # (2 / m) * residual with row i added into class row rows[i]: one GEMM with a one-hot matrix
             onehot = np.zeros((head_caches[0][0].shape[0], m))
             onehot[rows, np.arange(m)] = 2.0 / m
@@ -472,7 +464,7 @@ def max_relative_error(analytic: ParamBuffer, numeric: ParamBuffer) -> float:
     return float(diff) / max(float(scale), 1e-12)
 
 
-def gradient_check(seed: int = 0, step: float = 1e-5) -> float:
+def gradient_check(seed: int, step: float = 1e-5) -> float:
     """Worst finite-difference error over small random instances.
 
     Covers every non-empty subset of four modalities in both directions

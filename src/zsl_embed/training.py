@@ -176,8 +176,8 @@ def train(
     ``DIVERGENCE_RATIO`` times the first batch's, as when too large a
     learning rate makes training diverge.
     """
-    tags = net_config.check_active(active)
-    model = init_model(net_config, train_config.seed, tags)
+    model = init_model(net_config, train_config.seed, active)
+    tags = model.config.tags
     history = TrainHistory(train_config.lr)
     n = dataset.visual.rows
     if n == 0:
@@ -187,7 +187,7 @@ def train(
     classes, positions = np.unique(dataset.visual.labels, return_inverse=True)
     semantics = {tag: dataset.table(tag).matrix(classes) for tag in tags}
     # v2s regresses onto fixed fused class rows: fuse every seen class once
-    fused = model.embed(semantics, tags) if model.direction == V_TO_S else None
+    fused = model.embed(semantics, tags) if model.config.direction == V_TO_S else None
     slot = np.empty(classes.size, dtype=np.intp)  # each class's row in the current s2v batch
 
     optimizer = (Adam if train_config.optimizer == "adam" else SgdMomentum)(model.trained, train_config.lr)

@@ -77,6 +77,33 @@ def test_distance_rejects_a_non_finite_component(a, capsys):
     assert captured.err == f"error: bad vector {a!r}, every component must be finite\n"
 
 
+@pytest.mark.parametrize(
+    "metric, a, b",
+    [
+        ("ec:0.9", "1e200,1e200", "-1e200,-1e200"),
+        ("cosine", "1e200,1e200", "1e200,1e200"),
+        ("euclidean", "1e200", "-1e200"),
+    ],
+)
+def test_distance_whose_square_overflows_is_an_error(metric, a, b, capsys):
+    kind = metric.partition(":")[0]
+    # pyproject.toml turns warnings into errors, so no RuntimeWarning may escape either
+    assert dispatch(["distance", "--metric", kind, f"--a={a}", f"--b={b}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: non-finite {re.escape(metric)} distance (nan|inf) between --a and --b\n", captured.err)
+
+
+def test_distance_vector_with_a_leading_minus_takes_the_equals_form(capsys):
+    # (1 + 0.9) * 4: the vectors are opposite, 2 apart
+    for argv in (["--a=-1,0", "--b", "1,0"], ["--a", "1,0", "--b=-1,0"]):
+        assert dispatch(["distance", "--metric", "ec", *argv]) == 0
+        assert capsys.readouterr().out == "7.600000\n"
+    # without "=", argparse reads -1,0 as an option
+    assert dispatch(["distance", "--metric", "ec", "--a", "-1,0", "--b", "1,0"]) == 2
+    assert "argument --a: expected one argument" in capsys.readouterr().err
+
+
 def test_gradcheck_passes(capsys):
     # 7 and 17 read the two largest errors of seeds 0-19, 2.9e-7 and 2.2e-7
     for seed in ("7", "17"):
@@ -395,7 +422,7 @@ def test_train_direction_flag(cfg_path, tmp_path, capsys):
                      "--out", str(ckpt), "--direction", "v2s"]) == 0
     capsys.readouterr()
     model = load_checkpoint(ckpt)
-    assert model.direction == V_TO_S
+    assert model.config.direction == V_TO_S
     assert any(name.startswith("vmap.") for name in model.params)
 
 
@@ -656,6 +683,22 @@ def test_out_of_memory_is_an_error_line(cfg_path, tmp_path, monkeypatch, capsys)
     argv = ["train", "--config", str(cfg_path), "--data", str(data), "--out", str(tmp_path / "m.ckpt")]
     assert dispatch(argv) == 1
     assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+
+
+def test_log_switch_turns_on_the_training_lines(cfg_path, tmp_path, monkeypatch, capsys, caplog):
+    monkeypatch.delenv("ZSL_EMBED_LOG", raising=False)
+    data = tmp_path / "data"
+    assert dispatch(["synth", "--config", str(cfg_path), "--out", str(data)]) == 0
+    argv = ["train", "--config", str(cfg_path), "--data", str(data), "--out", str(tmp_path / "m.ckpt")]
+    assert dispatch(argv) == 0
+    assert [r.getMessage() for r in caplog.records if r.name == "zsl_embed"] == []
+    monkeypatch.setenv("ZSL_EMBED_LOG", "info")
+    assert dispatch(argv) == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "zsl_embed"]
+    assert len(lines) == 2, lines
+    assert re.fullmatch(r"training A\+B on \d+ samples, \d+ epochs", lines[0])
+    assert re.fullmatch(r"loss \S+ -> \S+", lines[1])
+    capsys.readouterr()
 
 
 def test_log_env_values(monkeypatch, capsys):

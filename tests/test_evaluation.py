@@ -330,6 +330,32 @@ def test_hubness_matches_python_recount():
     assert hubness_skewness(dist, k=2) == pytest.approx(m3 / m2**1.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
+@pytest.mark.parametrize("metric", [MetricKind.ec(0.9), MetricKind.euclidean(), MetricKind.cosine()])
+def test_k1_hubness_is_the_skew_of_the_confusion_column_sums(direction, metric):
+    # k=1 hubness counts each class's top-1 wins, which evaluate's confusion
+    # columns also count; classes 5 and 9 share every semantic row, so every
+    # query is tied between them and the tie-break decides both counts
+    rng = np.random.default_rng(60)
+    seen, unseen = list(range(4)), list(range(4, 14))
+    train_m = FeatureMatrix(rng.uniform(0, 1, (20, 8)), np.repeat(seen, 5))
+    test_m = FeatureMatrix(rng.uniform(0, 1, (100, 8)), np.repeat(unseen, 10))
+    tables = []
+    for tag in ("A", "B"):
+        vectors = rng.normal(size=(len(seen + unseen), 5))
+        vectors[9] = vectors[5]
+        tables.append(SemanticTable(tag, FeatureMatrix(vectors, seen + unseen)))
+    ds = Dataset(train_m, test_m, tables, set(seen), set(unseen))
+    config = NetConfig(ds.modality_dims(), head_hidden=6, head_out=5, embed_dim=8, direction=direction)
+    model = init_model(config, seed=1)
+    dist, ids = prediction_distances(model, ds, metric, ("A", "B"))
+    assert dist[:, ids.index(5)].tobytes() == dist[:, ids.index(9)].tobytes()
+    counts = evaluate(model, ds, metric, ("A", "B")).confusion.sum(axis=0).astype(np.float64)
+    centered = counts - counts.mean()
+    skew = float(np.mean(centered**3)) / float(np.mean(centered**2)) ** 1.5
+    assert hubness_skewness(dist, 1) == skew
+
+
 def test_hubness_column_permutation_invariant():
     rng = np.random.default_rng(13)
     dist = rng.normal(size=(30, 8))

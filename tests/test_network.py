@@ -72,7 +72,7 @@ def restricted(grads, names):
 def loss_inputs(model, inputs, active):
     """What ``loss`` and ``loss_and_grad`` take for the modality ``inputs``:
     the inputs themselves for s2v, their fused rows (``embed``) for v2s."""
-    return inputs if model.direction == S_TO_V else model.embed(inputs, active)
+    return inputs if model.config.direction == S_TO_V else model.embed(inputs, active)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +245,7 @@ def test_a_bare_string_is_not_a_set_of_modalities():
                 call()
     assert config.check_active(["CI"]) == ("CI",)
     assert config.check_active(("I", "C")) == ("C", "I")
-    tags = config.tags
-    assert config.check_active(tags) is tags  # the canonical tuple passes as is
+    assert config.check_active(config.tags) == config.tags  # the canonical tuple comes back equal
 
 
 @pytest.mark.parametrize("direction", [S_TO_V, V_TO_S])
@@ -718,6 +717,19 @@ def test_gradients_into_a_dirty_buffer_equal_a_fresh_call_bitwise(direction, act
     assert grads is out
     assert loss_out.hex() == loss.hex()
     assert out.flat.tobytes() == fresh.flat.tobytes()
+
+
+def test_a_gradient_buffer_of_another_size_is_refused_unwritten():
+    # a v2s model trains its visual map alone: a whole-model buffer is the wrong layout
+    rng = np.random.default_rng(23)
+    model = init_model(toy_config(direction=V_TO_S, head_hidden=3, head_out=3, embed_dim=4), seed=1)
+    inputs = loss_inputs(model, {"A": rng.normal(size=(2, 3)), "B": rng.normal(size=(2, 2))}, ("A", "B"))
+    targets = rng.uniform(0, 1, size=(2, 4))
+    for out, size in ((ParamBuffer(param_shapes(model.config)), 84), (ParamBuffer({"x": (5,)}), 5)):
+        out.flat.fill(7.0)
+        with pytest.raises(ValueError, match=f"^out holds {size} values, the trained parameters 39$"):
+            model.loss_and_grad(inputs, targets, ("A", "B"), out=out)
+        assert (out.flat == 7.0).all()
 
 
 def test_v2s_gradients_name_exactly_the_visual_maps_arrays():
